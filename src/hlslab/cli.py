@@ -94,6 +94,7 @@ def _parallel_levels(levels, fn, jobs: int):
 
 def cmd_quotients(config: ExperimentConfig) -> int:
     base = _base(config)
+    base.check_level(config.n_max)
     quotients = [base.quotient(n) for n in range(1, config.n_max + 1)]
     rows = []
     failed = False
@@ -146,7 +147,8 @@ def cmd_gap(config: ExperimentConfig) -> int:
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("gap experiment element must be self-adjoint")
     base = _base(config)
-    for n in range(1, config.n_max + 1):  # build sequentially, compute in parallel
+    base.check_level(config.n_max)
+    for n in range(1, config.n_max + 1):  # build every level, then profile
         base.quotient(n)
     G = gpd.HLSGroupoid(base)
     t0 = time.monotonic()
@@ -167,6 +169,7 @@ def cmd_gap(config: ExperimentConfig) -> int:
         "infinity_lower": report.infinity.lower,
         "infinity_upper": report.infinity.upper,
         "infinity_ceiling_used": report.infinity_ceiling_used,
+        "infinity_converged": report.infinity.converged,
         "trivial_representation_lower": report.trivial_lower,
         "l1_upper": report.l1_upper,
         "monotone_ok": report.monotone_ok,
@@ -230,6 +233,8 @@ def cmd_tau(config: ExperimentConfig) -> int:
                            hom_level_cap=config.hom_level_cap)
     cong = ApproximatedGroup("congruence", cache_dir=config.cache_dir,
                              fiber_cap=config.fiber_cap)
+    fd.check_level(config.n_max)
+    cong.check_level(config.n_max)
     levels = list(range(2, config.n_max + 1))
     for n in levels:
         fd.quotient(n)

@@ -275,12 +275,42 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
                                   tol_rel=tol_rel)
 
 
+def _truncation_matvec(bi: BallIndex, dim: int, x: GroupAlgebraElement,
+                       dtype):
+    """Compression of the left-regular action of x to the first dim ball
+    words: one gather per support word through a zero-padded buffer."""
+    complex_op = np.issubdtype(dtype, np.complexfloating)
+    terms = []
+    for w, c in x.coeffs.items():
+        gather = bi.word_move(w)[:dim]
+        if dim < bi.size:  # sources in the padding read the zero slot
+            gather = np.minimum(gather, dim)
+        c = complex(c)
+        terms.append((c if complex_op else c.real, gather))
+    buf = np.zeros(dim + 1, dtype=dtype)  # buf[dim] stays 0
+
+    def apply(v):
+        buf[:dim] = v
+        out = np.zeros(dim, dtype=dtype)
+        for c, gather in terms:
+            out += c * buf[gather]
+        return out
+
+    return apply
+
+
 def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
                            ball_cap: int = DEFAULT_BALL_CAP,
-                           tol_rel: float = 1e-9) -> float:
+                           tol_rel: float = 1e-9,
+                           strict: bool = False) -> float:
     """Norm of the compression of the regular representation of x to the
     ball of the given radius: a certified lower bound for the reduced
-    free-group norm."""
+    free-group norm.
+
+    An unconverged solve still yields a certified Rayleigh lower bound,
+    which is returned; strict=True raises ConvergenceError (carrying the
+    bracket) instead, so the caller can report it.
+    """
     if not x.coeffs:
         return 0.0
     maxlen = x.max_word_length()
@@ -288,27 +318,15 @@ def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
     bi = BallIndex(x.rank, radius + pad, cap=ball_cap)
     dim = ball_size(radius, x.rank)
     dtype = _fiber_dtype(x.coeffs)
-    terms = [(complex(c), w) for w, c in x.coeffs.items()]
-    adj = x.adjoint()
-    terms_star = [(complex(c), w) for w, c in adj.coeffs.items()]
-
-    def make_apply(ts):
-        def apply(v):
-            full = np.zeros(bi.size, dtype=v.dtype)
-            full[:dim] = v
-            out = np.zeros(bi.size, dtype=v.dtype)
-            for c, w in ts:
-                cc = c if np.issubdtype(v.dtype, np.complexfloating) else c.real
-                out += cc * bi.apply_word_move(w, full)
-            return out[:dim]
-        return apply
-
     try:
         bracket = singular_value_bracket(
-            make_apply(terms), make_apply(terms_star), dim,
+            _truncation_matvec(bi, dim, x, dtype),
+            _truncation_matvec(bi, dim, x.adjoint(), dtype), dim,
             upper_bound=None, lower_provenance="truncation",
             dtype=dtype, tol_rel=tol_rel)
     except ConvergenceError as err:
+        if strict:
+            raise
         bracket = err.bracket  # Rayleigh lower bound is still certified
     return bracket.lower
 
@@ -317,17 +335,24 @@ def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
                           ball_cap: int = DEFAULT_BALL_CAP,
                           tol_rel: float = 1e-9) -> NormBracket:
     """Bracket for the reduced norm of x on the infinity fiber: truncation
-    compression below, min(l1, Haagerup) above."""
+    compression below, min(l1, Haagerup) above.  converged is False when
+    the truncation solve did not certify its requested width."""
     if not x.coeffs:
         return NormBracket(0.0, 0.0, "truncation", "l1")
-    lower = truncation_lower_bound(x, radius, ball_cap, tol_rel)
+    converged = True
+    try:
+        lower = truncation_lower_bound(x, radius, ball_cap, tol_rel,
+                                       strict=True)
+    except ConvergenceError as err:
+        lower, converged = err.bracket.lower, False
     l1 = x.l1_norm()
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:
         haag = x.haagerup_bound()
         if haag < upper:
             upper, upper_prov = haag, "haagerup"
-    return NormBracket(min(lower, upper), upper, "truncation", upper_prov)
+    return NormBracket(min(lower, upper), upper, "truncation", upper_prov,
+                       converged)
 
 
 def rho_norm(f: FiberedFunction, n, radius: int = 8,

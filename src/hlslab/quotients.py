@@ -33,6 +33,7 @@ from .words import GroupAlgebraElement, Word, ball
 CACHE_FORMAT_VERSION = 1
 DEFAULT_FIBER_CAP = 2_000_000
 DEFAULT_HOM_LEVEL_CAP = 6
+MAX_CONGRUENCE_DEGREE = 50_000_000
 
 FAMILIES = ("fd", "congruence", "cyclic")
 FAMILY_RANK = {"fd": 2, "congruence": 2, "cyclic": 1}
@@ -202,6 +203,13 @@ def _tuple_bfs_order(gens: list[tuple[int, ...]], cap: int) -> int | None:
     return len(seen)
 
 
+def _check_hom_level(n: int, hom_level_cap: int) -> None:
+    if n > hom_level_cap:
+        raise ResourceError(
+            f"kernel enumeration at level {n} exceeds the homomorphism "
+            f"enumeration cap {hom_level_cap}")
+
+
 def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP,
                           fiber_cap: int = DEFAULT_FIBER_CAP
                           ) -> list[FiniteQuotient]:
@@ -214,10 +222,7 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP,
     """
     if n < 1:
         raise InputError("level must be >= 1")
-    if n > hom_level_cap:
-        raise ResourceError(
-            f"kernel enumeration at level {n} exceeds the homomorphism "
-            f"enumeration cap {hom_level_cap}")
+    _check_hom_level(n, hom_level_cap)
     probe_words = [w for w in ball(3, 2) if not w.is_identity()]
     reps: list[FiniteQuotient] = []
     signatures: dict[tuple, list[int]] = {}
@@ -269,17 +274,12 @@ def _sl2_perm(mat, modulus: int) -> np.ndarray:
 
 def _congruence_quotient(n: int, fiber_cap: int) -> FiniteQuotient:
     m = 2 ** n
-    if m * m > 50_000_000:
-        raise ResourceError(
-            f"congruence level {n} needs degree {m * m}, beyond desk scale")
     return FiniteQuotient(
         [_sl2_perm(SANOV_A, m), _sl2_perm(SANOV_B, m)], rank=2, cap=fiber_cap)
 
 
 def _cyclic_quotient(n: int, fiber_cap: int) -> FiniteQuotient:
     m = 2 ** n
-    if m > fiber_cap:
-        raise ResourceError(f"cyclic level {n} exceeds the fiber cap {fiber_cap}")
     gen = np.roll(np.arange(m, dtype=np.int32), -1)  # i -> i+1 mod m
     return FiniteQuotient([gen], rank=1, cap=fiber_cap)
 
@@ -340,7 +340,26 @@ class ApproximatedGroup:
             return None
         return self.cache_dir / f"quotient-{self.family}-{n}.json"
 
+    def check_level(self, n: int) -> None:
+        """Raises ResourceError if building level n would exceed a cap.
+
+        What each cap limits grows with the level, so checking the deepest
+        level of a tower clears all of it before anything is built.
+        """
+        if self.family == "fd":
+            _check_hom_level(n, self.hom_level_cap)
+        elif self.family == "congruence":
+            degree = 4 ** n
+            if degree > MAX_CONGRUENCE_DEGREE:
+                raise ResourceError(
+                    f"congruence level {n} needs degree {degree}, beyond "
+                    f"desk scale")
+        elif 2 ** n > self.fiber_cap:
+            raise ResourceError(
+                f"cyclic level {n} exceeds the fiber cap {self.fiber_cap}")
+
     def _build(self, n: int) -> FiniteQuotient:
+        self.check_level(n)
         if self.family == "fd":
             return _fd_quotient(n, self.hom_level_cap, self.fiber_cap)
         if self.family == "congruence":

@@ -19,16 +19,20 @@ LANCZOS_SEED = int.from_bytes(b"HLS", "big")  # 0x48 0x4C 0x53
 DEFAULT_TOL_REL = 1e-10
 MAX_BASIS = 160
 MAX_RESTARTS = 60
+RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + Ritz residual)
 
 
 @dataclass(frozen=True)
 class NormBracket:
-    """Certified interval for an operator norm, with provenance tags."""
+    """Certified interval for an operator norm, with provenance tags.
+    converged is False when the solver behind it stopped short of its
+    requested width (the endpoints are still valid)."""
 
     lower: float
     upper: float
     lower_provenance: str
     upper_provenance: str
+    converged: bool = True
 
     def __post_init__(self):
         if self.lower < 0 or self.upper < self.lower - 1e-12:
@@ -48,7 +52,8 @@ class NormBracket:
         lo = max((self, other), key=lambda b: b.lower)
         hi = max((self, other), key=lambda b: b.upper)
         return NormBracket(lo.lower, hi.upper,
-                           lo.lower_provenance, hi.upper_provenance)
+                           lo.lower_provenance, hi.upper_provenance,
+                           self.converged and other.converged)
 
 
 def _ritz_top(alphas, betas, V):
@@ -60,7 +65,7 @@ def _ritz_top(alphas, betas, V):
     evals, evecs = np.linalg.eigh(T)
     s = evecs[:, -1]
     theta = float(evals[-1])
-    y = np.asarray(V[:, :k] @ s)
+    y = s @ V[:k]
     return theta, y, s
 
 
@@ -80,33 +85,39 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
     if nv == 0:
         return 0.0, 0.0, True
     v = v / nv
+    complex_basis = np.issubdtype(dtype, np.complexfloating)
     check_every = 8
     best = (-np.inf, np.inf)
+    m = min(max_basis, dim)
+    # Krylov basis as contiguous rows, shared by every restart
+    V = np.empty((m, dim), dtype=dtype)
     for _ in range(max_restarts):
-        m = min(max_basis, dim)
-        V = np.zeros((dim, m), dtype=dtype)
         alphas: list[float] = []
         betas: list[float] = []
-        V[:, 0] = v
+        V[0] = v
         breakdown = False
         y = None
         for j in range(m):
-            w = apply_op(V[:, j])
-            alpha = float(np.real(np.vdot(V[:, j], w)))
+            w = apply_op(V[j])
+            alpha = float(np.real(np.vdot(V[j], w)))
             alphas.append(alpha)
-            w = w - alpha * V[:, j]
+            w = w - alpha * V[j]  # a copy: never update the operator's output
             if j > 0:
-                w = w - betas[-1] * V[:, j - 1]
+                w -= betas[-1] * V[j - 1]
             # full reorthogonalization, two passes
+            active = V[: j + 1]
             for _pass in range(2):
-                coeffs = V[:, : j + 1].conj().T @ w
-                w = w - V[:, : j + 1] @ coeffs
+                if complex_basis:
+                    coeffs = (active @ w.conj()).conj()
+                else:
+                    coeffs = active @ w
+                w -= coeffs @ active
             beta = float(np.linalg.norm(w))
             betas.append(beta)
             if beta <= 1e-14 * max(1.0, abs(alpha)):
                 breakdown = True
             elif j + 1 < m:
-                V[:, j + 1] = w / beta
+                np.divide(w, beta, out=V[j + 1])
             if breakdown or (j + 1) % check_every == 0 or j + 1 == m:
                 theta, y, s = _ritz_top(alphas, betas[:-1], V)
                 residual = 0.0 if breakdown else abs(betas[-1] * s[-1])
@@ -129,6 +140,19 @@ def _starts(dim: int, dtype):
     yield np.ones(dim, dtype=dtype)
 
 
+def _bracket(sigma: float, sigma_hi: float, upper_bound: float | None,
+             lower_provenance: str, upper_provenance: str,
+             converged: bool = True) -> NormBracket:
+    """[sigma, min(sigma_hi, upper_bound)]; the upper endpoint keeps the
+    caller's tag only when the caller's bound is the smaller one."""
+    if upper_bound is None or sigma_hi < upper_bound:
+        upper, upper_provenance = sigma_hi, RESIDUAL_PROVENANCE
+    else:
+        upper = upper_bound
+    return NormBracket(sigma, max(upper, sigma), lower_provenance,
+                       upper_provenance, converged)
+
+
 def singular_value_bracket(apply_m, apply_m_star, dim: int,
                            upper_bound: float | None = None,
                            upper_provenance: str = "l1",
@@ -138,8 +162,10 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     """Bracket for the largest singular value of M via Lanczos on M*M.
 
     Runs the deterministic seeded start and the constant-vector start and
-    keeps the best.  Raises ConvergenceError (carrying the best verified
-    bracket) if neither run certifies the requested width.
+    keeps the best.  The upper endpoint is the smaller of sqrt(theta +
+    residual), tagged "lanczos-residual", and the caller's upper_bound,
+    tagged upper_provenance.  Raises ConvergenceError (carrying the best
+    verified bracket) if neither run certifies the requested width.
     """
     if dim == 0:
         return NormBracket(0.0, 0.0, lower_provenance, upper_provenance)
@@ -150,9 +176,8 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     if dim == 1:
         v = np.ones(1, dtype=dtype)
         sigma = float(np.sqrt(max(np.real(apply_a(v)[0]), 0.0)))
-        upper = sigma if upper_bound is None else min(sigma, upper_bound)
-        return NormBracket(min(sigma, upper), upper,
-                           lower_provenance, upper_provenance)
+        return _bracket(sigma, sigma, upper_bound, lower_provenance,
+                        upper_provenance)
 
     best_theta, best_res = 0.0, np.inf
     converged_any = False
@@ -168,9 +193,8 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
             best_theta, best_res = theta, res
     sigma = float(np.sqrt(max(best_theta, 0.0)))
     sigma_hi = float(np.sqrt(max(best_theta + best_res, 0.0)))
-    upper = sigma_hi if upper_bound is None else min(sigma_hi, upper_bound)
-    upper = max(upper, sigma)
-    bracket = NormBracket(sigma, upper, lower_provenance, upper_provenance)
+    bracket = _bracket(sigma, sigma_hi, upper_bound, lower_provenance,
+                       upper_provenance, converged_any)
     if not converged_any:
         raise ConvergenceError(
             "Lanczos did not certify the requested bracket width",

@@ -1,5 +1,6 @@
 import pytest
 
+from hlslab import spectral
 from hlslab.quotients import ApproximatedGroup
 
 
@@ -21,3 +22,16 @@ def congruence(cache_dir):
 @pytest.fixture(scope="session")
 def cyclic(cache_dir):
     return ApproximatedGroup("cyclic", cache_dir=cache_dir)
+
+
+@pytest.fixture()
+def one_short_restart(monkeypatch):
+    """Every Lanczos solve gets one restart of an 8-vector basis, so
+    solves on operators of dimension > 8 end unconverged."""
+    solve = spectral.lanczos_extreme
+
+    def short(*args, **kwargs):
+        kwargs.update(max_restarts=1, max_basis=8)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", short)

@@ -3,7 +3,7 @@ import pytest
 
 from hlslab.balls import BallIndex
 from hlslab.errors import ResourceError
-from hlslab.words import Word, ball
+from hlslab.words import Word, ball, ball_size
 
 
 @pytest.mark.parametrize("rank,radius", [(1, 6), (2, 5), (3, 3)])
@@ -59,3 +59,39 @@ def test_apply_word_move_matches_single_letters():
 def test_ball_cap_enforced():
     with pytest.raises(ResourceError):
         BallIndex(2, 15, cap=1000)
+
+
+def _scatter_letters(bi, w, vec):
+    """Left multiplication by w, one letter_move scatter at a time."""
+    out = vec
+    for letter in reversed(w.letters):
+        move = bi.letter_move(letter)
+        nxt = np.zeros_like(out)
+        ok = move >= 0
+        nxt[move[ok]] = out[ok]
+        out = nxt
+    return out
+
+
+@pytest.mark.parametrize("rank,radius", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("pad", [0, 3])
+def test_word_move_matches_letter_composition(rank, radius, pad):
+    bi = BallIndex(rank, radius + pad)
+    dim = ball_size(radius, rank)
+    rng = np.random.default_rng(11)
+    vec = np.zeros(bi.size)
+    vec[:dim] = rng.standard_normal(dim)  # zero-padded beyond the radius
+    for w in ball(3, rank):
+        if w.is_identity():
+            continue
+        table = bi.word_move(w)
+        assert table is bi.word_move(w)  # built once, then cached
+        assert table.shape == (bi.size,)
+        assert np.array_equal(bi.apply_word_move(w, vec),
+                              _scatter_letters(bi, w, vec))
+        if pad:
+            # no intermediate product leaves the padded ball: the gather
+            # is exact left multiplication on the inner ball
+            for j, u in enumerate(ball(radius, rank)):
+                assert table[bi.word_to_index(w * u)] == j
+

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -70,6 +71,18 @@ def test_quotients_timings_column(cache, tmp_path):
 
 def test_quotients_resource_error(cache):
     assert run(["quotients", "--family", "fd", "--n-max", "9"], cache) == 3
+    # the cap is checked before any level is built or cached
+    assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["gap", "--family", "fd", "--n-max", "7"],
+    ["gap", "--family", "cyclic", "--n-max", "5", "--fiber-cap", "16"],
+    ["tau", "--family", "fd", "--n-max", "13", "--hom-level-cap", "13"],
+])
+def test_caps_checked_before_building(cache, args):
+    assert run(args, cache) == 3
+    assert os.listdir(cache) == []
 
 
 # -- gap ----------------------------------------------------------------------
@@ -96,6 +109,18 @@ def test_gap_cyclic_no_gap(cache, tmp_path):
     _, _, results = parse_report(out.read_text())
     assert results["gap_flagged"] == "false"
     assert float(results["infinity_lower"]) == pytest.approx(2.0, abs=1e-3)
+    assert results["infinity_converged"] == "true"
+
+
+def test_gap_reports_unconverged_infinity(cache, tmp_path,
+                                         one_short_restart):
+    out = tmp_path / "gap.csv"
+    code = run(["gap", "--family", "cyclic", "--n-max", "3",
+                "--radius", "30"], cache, out)
+    assert code == 0
+    _, _, results = parse_report(out.read_text())
+    assert results["infinity_converged"] == "false"
+    assert float(results["infinity_lower"]) <= 2 * math.cos(math.pi / 62)
 
 
 def test_gap_rejects_non_self_adjoint(cache):

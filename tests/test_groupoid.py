@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlslab.errors import (DegenerateCertificateError, InputError,
-                           ResourceError)
+from hlslab.errors import (ConvergenceError, DegenerateCertificateError,
+                           InputError, ResourceError)
 from hlslab.exact import RationalComplex
 from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              HLSGroupoid, adjoint_fibered, certificate_from_folner,
@@ -224,6 +224,34 @@ def test_lanczos_matches_dense_eigensolver(gfd, gcong):
             assert br.upper >= expected - 1e-12
 
 
+@pytest.fixture(scope="module")
+def small_fibers(gfd, gcong):
+    return [g.quotient(n) for g, n in
+            ((gfd, 2), (gfd, 3), (gfd, 4), (gcong, 2), (gcong, 3))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_endpoints_name_their_source(small_fibers, data):
+    q = data.draw(st.sampled_from(small_fibers))
+    coeff = st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(ball(2, 2)), coeff),
+        min_size=5, max_size=5))
+    coeffs = q.pushforward(GroupAlgebraElement.from_pairs(pairs, 2))
+    if not coeffs or q.order == 1:
+        return
+    br = fiber_norm_bracket(q, coeffs)
+    l1 = sum(abs(c) for c in coeffs.values())
+    truth = float(np.linalg.norm(rho_dense(q, coeffs), 2))
+    assert br.lower <= truth + 1e-12
+    assert br.upper_provenance in ("l1", "lanczos-residual")
+    if br.upper_provenance == "l1":
+        assert br.upper == pytest.approx(l1, rel=1e-12, abs=1e-12)
+    else:
+        assert br.upper < l1
+
+
 def test_representation_property_exact(gfd):
     # rho_n(x * y) == rho_n(x) rho_n(y) with exact rational arithmetic
     q = gfd.quotient(3)
@@ -292,6 +320,49 @@ def test_truncation_monotone_in_radius():
     for a, b in zip(vals, vals[1:]):
         assert b + 1e-9 >= a
     assert all(v <= x.l1_norm() + 1e-9 for v in vals)
+
+
+def _dense_compression(x, radius):
+    """Matrix of P_r lambda(x) P_r on the ball of the given radius, built
+    by multiplying words."""
+    words = ball(radius, x.rank)
+    index = {w: i for i, w in enumerate(words)}
+    m = np.zeros((len(words), len(words)), dtype=complex)
+    for j, u in enumerate(words):
+        for w, c in x.coeffs.items():
+            i = index.get(w * u)
+            if i is not None:
+                m[i, j] += complex(c)
+    return m
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 3), (3, 2)])
+def test_complex_truncation_matches_dense_compression(rank, radius):
+    rng = random.Random(17)
+    words = [w for w in ball(2, rank) if not w.is_identity()]
+    for _ in range(3):
+        pairs = [(rng.choice(words), complex(rng.uniform(-2, 2),
+                                             rng.uniform(-2, 2)))
+                 for _ in range(4)]
+        x = GroupAlgebraElement.from_pairs(pairs, rank)
+        m = _dense_compression(x, radius)
+        expected = math.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+        got = truncation_lower_bound(x, radius)
+        assert abs(got - expected) < 1e-9 * expected
+        assert got <= expected + 1e-12
+
+
+def test_unconverged_truncation_is_reported(one_short_restart):
+    x = GroupAlgebraElement.from_pairs([("a", 1), ("A", 1)], rank=1)
+    br = infinity_norm_bracket(x, 30)
+    assert not br.converged
+    # the plain lower bound is still returned, and is still a lower bound
+    lower = truncation_lower_bound(x, 30)
+    assert isinstance(lower, float)
+    assert lower == br.lower
+    assert lower <= 2 * math.cos(math.pi / 62)
+    with pytest.raises(ConvergenceError):
+        truncation_lower_bound(x, 30, strict=True)
 
 
 def test_trivial_bound_for_nonnegative_element(gfd):

@@ -111,6 +111,19 @@ def test_fiber_cap():
         small.quotient(6)
 
 
+@pytest.mark.parametrize("family,kwargs,ok,too_deep", [
+    ("fd", {"hom_level_cap": 4}, 4, 5),
+    ("congruence", {}, 12, 13),        # degree 4^13 > 50M
+    ("cyclic", {"fiber_cap": 64}, 6, 7),
+])
+def test_check_level_is_a_priori(family, kwargs, ok, too_deep):
+    base = ApproximatedGroup(family, **kwargs)
+    base.check_level(ok)
+    with pytest.raises(ResourceError):
+        base.check_level(too_deep)
+    assert base._memory == {}  # nothing was built
+
+
 # -- evaluation ---------------------------------------------------------------
 
 def test_evaluate_identity(fd, cyclic):

@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from hlslab.spectral import lanczos_extreme
+
+
+def _hermitian(dim, dtype, seed):
+    """Hermitian matrix with a known spectrum: a separated top eigenvalue
+    over a cluster in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim))
+    if np.issubdtype(dtype, np.complexfloating):
+        z = z + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    evals = np.concatenate([np.linspace(0.0, 1.0, dim - 1), [1.5]])
+    return (q * evals) @ q.conj().T
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_restarted_lanczos_matches_dense(dtype):
+    dim, basis = 120, 12
+    a = _hermitian(dim, dtype, seed=4)
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        return a @ x
+
+    start = np.random.default_rng(9).standard_normal(dim).astype(dtype)
+    theta, residual, converged = lanczos_extreme(
+        apply, dim, start, tol=1e-10, dtype=dtype, max_basis=basis)
+    top = np.linalg.eigvalsh(a)[-1]
+    assert converged
+    assert calls[0] > basis  # at least one restart happened
+    assert abs(theta - top) < 1e-9
+    assert theta <= top + 1e-12  # a Rayleigh quotient never overshoots
+    assert residual <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lanczos_leaves_start_and_operator_output_alone(dtype):
+    dim = 40
+    a = _hermitian(dim, dtype, seed=2)
+    start = np.ones(dim, dtype=dtype)
+    outputs = []
+
+    def apply(x):
+        y = a @ x
+        outputs.append((y, y.copy()))
+        return y
+
+    lanczos_extreme(apply, dim, start, tol=1e-10, dtype=dtype, max_basis=8)
+    assert np.array_equal(start, np.ones(dim, dtype=dtype))
+    assert all(np.array_equal(y, kept) for y, kept in outputs)
