@@ -4,9 +4,9 @@ For the infinity-fiber truncation bound the engine needs, for every word v
 in a ball of ~10^6 words, the ball index of s*v for support words s.
 Storing the words in shortlex order makes the index a closed-form base-
 (2k-1) expansion, so left-multiplication tables are built with vectorized
-integer arithmetic and no dictionary.  A word's table is composed once
-from its letters' tables and cached as a gather, so applying it costs one
-indexed read per ball word.
+integer arithmetic and no dictionary.  A word's table is composed from
+its letters' tables as a gather, so applying it costs one indexed read
+per ball word.
 
 Index layout for rank k: offset(0) = 0; length-L block starts at
 offset(L) = 1 + sum_{j<L} 2k*(2k-1)^(j-1) and is ordered lexicographically
@@ -50,7 +50,6 @@ class BallIndex:
         self.offsets.append(count)  # offset(radius+1) == size
         self._build_tables()
         self._move_cache: dict[int, np.ndarray] = {}
-        self._word_cache: dict[tuple, np.ndarray] = {}
 
     def _build_tables(self):
         # per length L >= 1: first letter (int8), first/second true ranks,
@@ -184,22 +183,19 @@ class BallIndex:
     def word_move(self, w: Word) -> np.ndarray:
         """Gather table for left multiplication by w on ball coordinates.
 
-        out[i] = j where w_i = w * w_j, taking w one letter at a time from
-        the right and truncating whenever an intermediate product leaves
-        the ball; out[i] = size where there is no such j.  So
-        (w . vec) = vec_padded[out] with vec_padded = vec + [0].
+        out[i] = j where w_i = w * w_j with both in the ball, and
+        out[i] = size where there is no such j, so (w . vec) =
+        vec_padded[out] with vec_padded = vec + [0].  As w is reduced, the
+        products of w_j with the right factors of w are never longer than
+        the longer of w_j and w * w_j, so this equals applying w letter by
+        letter and truncating at the boundary.  The table is built anew on
+        each call; a caller applying w repeatedly keeps it.
         """
-        key = w.letters
-        table = self._word_cache.get(key)
-        if table is None:
-            # forward map j -> index of w * w_j, -1 once it leaves the ball
-            fwd = np.arange(self.size, dtype=np.int64)
-            for letter in reversed(key):
-                fwd = np.where(fwd >= 0, self.letter_move(letter)[fwd], -1)
-            table = np.full(self.size, self.size, dtype=np.int64)
-            src = np.nonzero(fwd >= 0)[0]
-            table[fwd[src]] = src
-            self._word_cache[key] = table
+        # w_j = w^-1 * w_i: left-multiply by l^-1 for each letter l of w
+        table = np.arange(self.size, dtype=np.int64)
+        for letter in w.letters:
+            table = np.where(table >= 0, self.letter_move(-letter)[table], -1)
+        table[table < 0] = self.size
         return table
 
     def apply_word_move(self, w: Word, vec: np.ndarray) -> np.ndarray:

@@ -94,8 +94,9 @@ def _parallel_levels(levels, fn, jobs: int):
 
 def cmd_quotients(config: ExperimentConfig) -> int:
     base = _base(config)
-    base.check_level(config.n_max)
-    quotients = [base.quotient(n) for n in range(1, config.n_max + 1)]
+    levels = range(1, config.n_max + 1)
+    base.check_levels(levels)
+    quotients = [base.quotient(n) for n in levels]
     rows = []
     failed = False
     for n, q in enumerate(quotients, start=1):
@@ -147,8 +148,9 @@ def cmd_gap(config: ExperimentConfig) -> int:
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("gap experiment element must be self-adjoint")
     base = _base(config)
-    base.check_level(config.n_max)
-    for n in range(1, config.n_max + 1):  # build every level, then profile
+    levels = range(1, config.n_max + 1)
+    base.check_levels(levels)
+    for n in levels:  # build every level, then profile
         base.quotient(n)
     G = gpd.HLSGroupoid(base)
     t0 = time.monotonic()
@@ -233,9 +235,9 @@ def cmd_tau(config: ExperimentConfig) -> int:
                            hom_level_cap=config.hom_level_cap)
     cong = ApproximatedGroup("congruence", cache_dir=config.cache_dir,
                              fiber_cap=config.fiber_cap)
-    fd.check_level(config.n_max)
-    cong.check_level(config.n_max)
     levels = list(range(2, config.n_max + 1))
+    fd.check_levels(levels)
+    cong.check_levels(levels)
     for n in levels:
         fd.quotient(n)
         cong.quotient(n)

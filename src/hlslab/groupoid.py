@@ -21,7 +21,7 @@ from .errors import ConvergenceError, DegenerateCertificateError, InputError
 from .exact import RationalComplex, conj, is_exact, real_part
 from .quotients import ApproximatedGroup, FiniteQuotient
 from .spectral import NormBracket, singular_value_bracket, symmetric_top_eigenvalue
-from .words import DEFAULT_BALL_CAP, GroupAlgebraElement, Word, ball_size
+from .words import DEFAULT_BALL_CAP, GroupAlgebraElement, Word
 
 INFINITY = "inf"
 DEFAULT_GAP_MARGIN = 0.25
@@ -275,23 +275,23 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
                                   tol_rel=tol_rel)
 
 
-def _truncation_matvec(bi: BallIndex, dim: int, x: GroupAlgebraElement,
-                       dtype):
-    """Compression of the left-regular action of x to the first dim ball
-    words: one gather per support word through a zero-padded buffer."""
+def _truncation_matvec(bi: BallIndex, x: GroupAlgebraElement, dtype,
+                       gathers: dict[Word, np.ndarray]):
+    """Compression of the left-regular action of x to the ball: one gather
+    per support word through a zero-padded buffer.  gathers caches the
+    word tables, so x and its adjoint share those of common words."""
     complex_op = np.issubdtype(dtype, np.complexfloating)
     terms = []
     for w, c in x.coeffs.items():
-        gather = bi.word_move(w)[:dim]
-        if dim < bi.size:  # sources in the padding read the zero slot
-            gather = np.minimum(gather, dim)
+        if w not in gathers:
+            gathers[w] = bi.word_move(w)
         c = complex(c)
-        terms.append((c if complex_op else c.real, gather))
-    buf = np.zeros(dim + 1, dtype=dtype)  # buf[dim] stays 0
+        terms.append((c if complex_op else c.real, gathers[w]))
+    buf = np.zeros(bi.size + 1, dtype=dtype)  # buf[size] stays 0
 
     def apply(v):
-        buf[:dim] = v
-        out = np.zeros(dim, dtype=dtype)
+        buf[:-1] = v
+        out = np.zeros(bi.size, dtype=dtype)
         for c, gather in terms:
             out += c * buf[gather]
         return out
@@ -299,36 +299,33 @@ def _truncation_matvec(bi: BallIndex, dim: int, x: GroupAlgebraElement,
     return apply
 
 
-def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
-                           ball_cap: int = DEFAULT_BALL_CAP,
-                           tol_rel: float = 1e-9,
-                           strict: bool = False) -> float:
-    """Norm of the compression of the regular representation of x to the
-    ball of the given radius: a certified lower bound for the reduced
-    free-group norm.
-
-    An unconverged solve still yields a certified Rayleigh lower bound,
-    which is returned; strict=True raises ConvergenceError (carrying the
-    bracket) instead, so the caller can report it.
-    """
-    if not x.coeffs:
-        return 0.0
-    maxlen = x.max_word_length()
-    pad = 0 if maxlen <= 1 else maxlen
-    bi = BallIndex(x.rank, radius + pad, cap=ball_cap)
-    dim = ball_size(radius, x.rank)
+def _truncation_bracket(x: GroupAlgebraElement, radius: int, ball_cap: int,
+                        tol_rel: float) -> NormBracket:
+    """Bracket for the norm of the compression of x to the ball of the
+    given radius.  An unconverged solve yields its bracket, with converged
+    False: the Rayleigh lower endpoint is still certified."""
+    bi = BallIndex(x.rank, radius, cap=ball_cap)
     dtype = _fiber_dtype(x.coeffs)
+    gathers: dict[Word, np.ndarray] = {}
     try:
-        bracket = singular_value_bracket(
-            _truncation_matvec(bi, dim, x, dtype),
-            _truncation_matvec(bi, dim, x.adjoint(), dtype), dim,
+        return singular_value_bracket(
+            _truncation_matvec(bi, x, dtype, gathers),
+            _truncation_matvec(bi, x.adjoint(), dtype, gathers), bi.size,
             upper_bound=None, lower_provenance="truncation",
             dtype=dtype, tol_rel=tol_rel)
     except ConvergenceError as err:
-        if strict:
-            raise
-        bracket = err.bracket  # Rayleigh lower bound is still certified
-    return bracket.lower
+        return err.bracket
+
+
+def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
+                           ball_cap: int = DEFAULT_BALL_CAP,
+                           tol_rel: float = 1e-9) -> float:
+    """Norm of the compression of the regular representation of x to the
+    ball of the given radius: a certified lower bound for the reduced
+    free-group norm, also when the solve did not converge."""
+    if not x.coeffs:
+        return 0.0
+    return _truncation_bracket(x, radius, ball_cap, tol_rel).lower
 
 
 def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
@@ -339,20 +336,15 @@ def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
     the truncation solve did not certify its requested width."""
     if not x.coeffs:
         return NormBracket(0.0, 0.0, "truncation", "l1")
-    converged = True
-    try:
-        lower = truncation_lower_bound(x, radius, ball_cap, tol_rel,
-                                       strict=True)
-    except ConvergenceError as err:
-        lower, converged = err.bracket.lower, False
+    truncation = _truncation_bracket(x, radius, ball_cap, tol_rel)
     l1 = x.l1_norm()
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:
         haag = x.haagerup_bound()
         if haag < upper:
             upper, upper_prov = haag, "haagerup"
-    return NormBracket(min(lower, upper), upper, "truncation", upper_prov,
-                       converged)
+    return NormBracket(min(truncation.lower, upper), upper, "truncation",
+                       upper_prov, truncation.converged)
 
 
 def rho_norm(f: FiberedFunction, n, radius: int = 8,

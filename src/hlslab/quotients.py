@@ -341,11 +341,7 @@ class ApproximatedGroup:
         return self.cache_dir / f"quotient-{self.family}-{n}.json"
 
     def check_level(self, n: int) -> None:
-        """Raises ResourceError if building level n would exceed a cap.
-
-        What each cap limits grows with the level, so checking the deepest
-        level of a tower clears all of it before anything is built.
-        """
+        """Raises ResourceError if building level n would exceed a cap."""
         if self.family == "fd":
             _check_hom_level(n, self.hom_level_cap)
         elif self.family == "congruence":
@@ -357,6 +353,16 @@ class ApproximatedGroup:
         elif 2 ** n > self.fiber_cap:
             raise ResourceError(
                 f"cyclic level {n} exceeds the fiber cap {self.fiber_cap}")
+
+    def check_levels(self, levels) -> None:
+        """Raises ResourceError, before anything is built, if building one
+        of the given levels would exceed a cap.  Levels already in memory
+        or in the disk cache are loaded, not built, so no cap applies."""
+        for n in levels:
+            path = self._cache_path(n)
+            if n not in self._memory and not (path is not None
+                                              and path.exists()):
+                self.check_level(n)
 
     def _build(self, n: int) -> FiniteQuotient:
         self.check_level(n)

@@ -25,8 +25,8 @@ RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + Ritz residual)
 @dataclass(frozen=True)
 class NormBracket:
     """Certified interval for an operator norm, with provenance tags.
-    converged is False when the solver behind it stopped short of its
-    requested width (the endpoints are still valid)."""
+    converged is False when the solve behind it stopped short of its
+    requested width (the endpoints are still valid); max() drops it."""
 
     lower: float
     upper: float
@@ -52,8 +52,7 @@ class NormBracket:
         lo = max((self, other), key=lambda b: b.lower)
         hi = max((self, other), key=lambda b: b.upper)
         return NormBracket(lo.lower, hi.upper,
-                           lo.lower_provenance, hi.upper_provenance,
-                           self.converged and other.converged)
+                           lo.lower_provenance, hi.upper_provenance)
 
 
 def _ritz_top(alphas, betas, V):

@@ -227,9 +227,6 @@ class GroupAlgebraElement:
     def support(self) -> list[Word]:
         return sorted(self.coeffs, key=Word.shortlex_key)
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.coeffs), default=0)
-
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check_rank(other)
         coeffs = dict(self.coeffs)

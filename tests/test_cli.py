@@ -85,6 +85,17 @@ def test_caps_checked_before_building(cache, args):
     assert os.listdir(cache) == []
 
 
+def test_caps_skip_cached_levels(cache, tmp_path):
+    # levels warmed under a higher cap are loaded, not built, so a lower
+    # cap does not refuse them
+    assert run(["quotients", "--family", "fd", "--n-max", "3",
+                "--hom-level-cap", "3"], cache) == 0
+    assert run(["gap", "--family", "fd", "--n-max", "3", "--radius", "4",
+                "--hom-level-cap", "2"], cache, tmp_path / "gap.csv") == 0
+    assert run(["quotients", "--family", "fd", "--n-max", "4",
+                "--hom-level-cap", "2"], cache) == 3
+
+
 # -- gap ----------------------------------------------------------------------
 
 def test_gap_fd_with_ceiling(cache, tmp_path):
