@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,13 +80,6 @@ def _base(config: ExperimentConfig) -> ApproximatedGroup:
     return ApproximatedGroup(config.family, cache_dir=config.cache_dir,
                              fiber_cap=config.fiber_cap,
                              hom_level_cap=config.hom_level_cap)
-
-
-def _parallel_levels(levels, fn, jobs: int):
-    if jobs <= 1:
-        return [fn(n) for n in levels]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, levels))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -241,11 +233,8 @@ def cmd_tau(config: ExperimentConfig) -> int:
     for n in levels:
         fd.quotient(n)
         cong.quotient(n)
-    fd_vals = _parallel_levels(levels, lambda n: gpd.tau_spectral_gap(fd, n),
-                               config.jobs)
-    cong_vals = _parallel_levels(levels,
-                                 lambda n: gpd.tau_spectral_gap(cong, n),
-                                 config.jobs)
+    fd_vals = [gpd.tau_spectral_gap(fd, n) for n in levels]
+    cong_vals = [gpd.tau_spectral_gap(cong, n) for n in levels]
     rows = [{"level": n, "fd_second_eigenvalue": fv,
              "congruence_second_eigenvalue": cv}
             for n, fv, cv in zip(levels, fd_vals, cong_vals)]
@@ -336,7 +325,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="deepest quotient level")
     p.add_argument("--radius", type=int, help="truncation / separation radius")
     p.add_argument("--margin", type=float, help="gap flag margin")
-    p.add_argument("--jobs", type=int, help="worker threads for per-level work")
     p.add_argument("--cache-dir", dest="cache_dir",
                    help="quotient cache directory (env HLSLAB_CACHE)")
     p.add_argument("--out", help="write the CSV report here (default stdout)")

@@ -31,7 +31,6 @@ class ExperimentConfig:
     radius: int = 12
     margin: float = 0.25
     epsilon: float = 0.05
-    jobs: int = 1
     fiber_cap: int = 2_000_000
     ball_cap: int = 5_000_000
     hom_level_cap: int = 6
@@ -48,7 +47,7 @@ class ExperimentConfig:
             raise InputError(f"unknown family {self.family!r}")
         if self.n_max < 1:
             raise InputError("n_max must be >= 1")
-        for cap_name in ("fiber_cap", "ball_cap", "hom_level_cap", "jobs"):
+        for cap_name in ("fiber_cap", "ball_cap", "hom_level_cap"):
             if getattr(self, cap_name) < 1:
                 raise InputError(f"{cap_name} must be positive")
         if self.radius < 0:

@@ -1,8 +1,10 @@
 """Exact rational-complex scalars for drift-free *-algebra arithmetic.
 
 Coefficients in this package are either plain Python complex/float/int
-(double mode) or Fraction / RationalComplex (exact mode).  The helpers
-below let the algebra code treat both uniformly.
+(double mode) or Fraction / RationalComplex (exact mode).  RationalComplex
+takes any of them on either side of +, - and *, so the algebra code uses
+plain operators, abs and sum on mixed coefficients; the helpers below
+cover conjugation and the real part.
 """
 
 from __future__ import annotations

@@ -11,17 +11,19 @@ part supported over the finite fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .balls import BallIndex
 from .errors import ConvergenceError, DegenerateCertificateError, InputError
-from .exact import RationalComplex, conj, is_exact, real_part
+from .exact import RationalComplex, is_exact, real_part
 from .quotients import ApproximatedGroup, FiniteQuotient
 from .spectral import NormBracket, singular_value_bracket, symmetric_top_eigenvalue
-from .words import DEFAULT_BALL_CAP, GroupAlgebraElement, Word
+from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
+                    adjoint_coeffs, convolve_coeffs, l1_of)
 
 INFINITY = "inf"
 DEFAULT_GAP_MARGIN = 0.25
@@ -41,18 +43,6 @@ class HLSGroupoid:
 
     def quotient(self, n: int) -> FiniteQuotient:
         return self.base.quotient(n)
-
-
-def _add_coeff(a, b):
-    if isinstance(a, RationalComplex) or isinstance(b, RationalComplex):
-        return RationalComplex.of(a) + RationalComplex.of(b)
-    return a + b
-
-
-def _mul_coeff(a, b):
-    if isinstance(a, RationalComplex) or isinstance(b, RationalComplex):
-        return RationalComplex.of(a) * RationalComplex.of(b)
-    return a * b
 
 
 def _clean(d: dict) -> dict:
@@ -114,13 +104,13 @@ class FiberedFunction:
         for n in range(1, top):
             fib = dict(self.fiber(n))
             for i, c in other.fiber(n).items():
-                fib[i] = _add_coeff(fib.get(i, 0), c)
+                fib[i] = fib.get(i, 0) + c
             overrides[n] = fib
         return FiberedFunction(self.groupoid, self.tail + other.tail,
                                top, overrides)
 
     def scale(self, s) -> "FiberedFunction":
-        overrides = {n: {i: _mul_coeff(s, c) for i, c in fib.items()}
+        overrides = {n: {i: s * c for i, c in fib.items()}
                      for n, fib in self.overrides.items()}
         return FiberedFunction(self.groupoid, self.tail.scale(s),
                                self.threshold, overrides)
@@ -160,19 +150,6 @@ class FiberedFunction:
 
 # -- C_c(G) arithmetic -------------------------------------------------------
 
-def _fiber_convolve(q: FiniteQuotient, a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, ci in a.items():
-        for j, cj in b.items():
-            k = q.multiply(i, j)
-            out[k] = _add_coeff(out.get(k, 0), _mul_coeff(ci, cj))
-    return _clean(out)
-
-
-def _fiber_adjoint(q: FiniteQuotient, a: dict) -> dict:
-    return {q.invert_element(i): conj(c) for i, c in a.items()}
-
-
 def convolve_fibered(f: FiberedFunction, g: FiberedFunction) -> FiberedFunction:
     """Fiberwise convolution; the result threshold is the max of the input
     thresholds (pushforward commutes with convolution above it)."""
@@ -182,12 +159,12 @@ def convolve_fibered(f: FiberedFunction, g: FiberedFunction) -> FiberedFunction:
     overrides = {}
     for n in range(1, top):
         q = f.groupoid.quotient(n)
-        overrides[n] = _fiber_convolve(q, f.fiber(n), g.fiber(n))
+        overrides[n] = convolve_coeffs(f.fiber(n), g.fiber(n), q.multiply)
     return FiberedFunction(f.groupoid, f.tail.convolve(g.tail), top, overrides)
 
 
 def adjoint_fibered(f: FiberedFunction) -> FiberedFunction:
-    overrides = {n: _fiber_adjoint(f.groupoid.quotient(n), fib)
+    overrides = {n: adjoint_coeffs(fib, f.groupoid.quotient(n).invert_element)
                  for n, fib in f.overrides.items()}
     return FiberedFunction(f.groupoid, f.tail.adjoint(), f.threshold, overrides)
 
@@ -217,10 +194,6 @@ def _fiber_dtype(coeffs: dict):
     return np.float64
 
 
-def _fiber_l1(coeffs: dict) -> float:
-    return float(sum(abs(c) for c in coeffs.values()))
-
-
 def fiber_matvec(q: FiniteQuotient, coeffs: dict):
     """Left-convolution operator on l2 of the quotient:
     (rho(f) xi)(g) = sum_s f(s) xi(s^-1 g)."""
@@ -245,7 +218,7 @@ def rho_dense(q: FiniteQuotient, coeffs: dict, exact: bool = False):
         for s, c in coeffs.items():
             tbl = q.left_mult_table(s)
             for h in range(q.order):
-                m[int(tbl[h])][h] = _add_coeff(m[int(tbl[h])][h], c)
+                m[int(tbl[h])][h] += c
         return m
     m = np.zeros((q.order, q.order), dtype=_fiber_dtype(coeffs))
     for s, c in coeffs.items():
@@ -262,14 +235,14 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
     coeffs = _clean(coeffs)
     if not coeffs:
         return NormBracket(0.0, 0.0, "fiber-representation", "l1")
-    l1 = _fiber_l1(coeffs)
+    l1 = l1_of(coeffs)
     if q.order == 1:
         v = abs(sum(complex(c) for c in coeffs.values()))
         return NormBracket(v, v, "trivial-representation",
                            "trivial-representation")
     dtype = _fiber_dtype(coeffs)
     apply_m = fiber_matvec(q, coeffs)
-    apply_ms = fiber_matvec(q, _fiber_adjoint(q, coeffs))
+    apply_ms = fiber_matvec(q, adjoint_coeffs(coeffs, q.invert_element))
     return singular_value_bracket(apply_m, apply_ms, q.order,
                                   upper_bound=l1, dtype=dtype,
                                   tol_rel=tol_rel)
@@ -381,6 +354,13 @@ class ReducedNormReport:
     bracket: NormBracket
 
 
+def _level_rows(f: FiberedFunction, n_max: int,
+                tol_rel: float) -> list[LevelRow]:
+    return [LevelRow(n, f.groupoid.quotient(n).order,
+                     rho_norm(f, n, tol_rel=tol_rel))
+            for n in range(1, n_max + 1)]
+
+
 def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
                           ball_cap: int = DEFAULT_BALL_CAP,
                           tol_rel: float = 1e-10) -> ReducedNormReport:
@@ -389,25 +369,15 @@ def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
     Levels above n_max are dominated by the l1 norm of the tail, so the
     upper endpoint is valid for the true supremum.
     """
-    rows = []
-    for n in range(1, n_max + 1):
-        q = f.groupoid.quotient(n)
-        rows.append(LevelRow(n, q.order, fiber_norm_bracket(q, f.fiber(n),
-                                                            tol_rel)))
-    lower = max(r.bracket.lower for r in rows)
-    lower_prov = "fiber-representation"
-    upper = max(r.bracket.upper for r in rows)
-    upper_prov = "fiber-representation"
+    rows = _level_rows(f, n_max, tol_rel)
+    brackets = [r.bracket for r in rows]
     if not f.is_tail_zero():
-        inf_bracket = infinity_norm_bracket(f.tail, radius, ball_cap)
+        inf_bracket = rho_norm(f, INFINITY, radius, ball_cap, tol_rel)
         rows.append(LevelRow(INFINITY, INFINITY, inf_bracket))
-        if inf_bracket.lower > lower:
-            lower, lower_prov = inf_bracket.lower, "truncation"
-        tail_l1 = f.tail.l1_norm()  # dominates every uncomputed fiber
-        if tail_l1 > upper:
-            upper, upper_prov = tail_l1, "l1"
-    return ReducedNormReport(tuple(rows),
-                             NormBracket(lower, upper, lower_prov, upper_prov))
+        # the tail's l1 norm dominates every uncomputed fiber
+        brackets.append(replace(inf_bracket, upper=f.tail.l1_norm(),
+                                upper_provenance="l1"))
+    return ReducedNormReport(tuple(rows), reduce(NormBracket.max, brackets))
 
 
 @dataclass(frozen=True)
@@ -440,20 +410,12 @@ def fd_norm_profile(x: GroupAlgebraElement, groupoid: HLSGroupoid,
     """
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("profile element must be self-adjoint")
-    rows = []
-    for n in range(1, n_max + 1):
-        q = groupoid.quotient(n)
-        rows.append(LevelRow(n, q.order,
-                             fiber_norm_bracket(q, q.pushforward(x),
-                                                tol_rel)))
-    failures = []
-    for a, b in zip(rows, rows[1:]):
-        if b.bracket.lower + 1e-8 < a.bracket.lower:
-            failures.append((a.level, b.level))
-    sup_finite = rows[0].bracket
-    for r in rows[1:]:
-        sup_finite = sup_finite.max(r.bracket)
-    inf_bracket = infinity_norm_bracket(x, radius, ball_cap)
+    f = FiberedFunction(groupoid, x, 1, {})
+    rows = _level_rows(f, n_max, tol_rel)
+    failures = [(a.level, b.level) for a, b in zip(rows, rows[1:])
+                if b.bracket.lower + 1e-8 < a.bracket.lower]
+    sup_finite = reduce(NormBracket.max, (r.bracket for r in rows))
+    inf_bracket = rho_norm(f, INFINITY, radius, ball_cap, tol_rel)
     ceiling = inf_bracket.upper
     if infinity_ceiling is not None:
         ceiling = min(ceiling, infinity_ceiling)
@@ -555,12 +517,14 @@ class CertificateReport:
                 and self.worst_translation < self.epsilon)
 
 
-def _abs_value(c):
-    if isinstance(c, RationalComplex):
-        return abs(c)
-    if isinstance(c, complex):
-        return abs(c)
-    return abs(c)
+def defects(coeffs: dict, g, multiply, inverse) -> tuple:
+    """Normalization defect |sum_h eta(h) - 1| and translation defect
+    sum_h |eta(h) - eta(h g)| of one fiber's coefficients."""
+    g_inv = inverse(g)
+    hs = set(coeffs) | {multiply(h, g_inv) for h in coeffs}
+    translation = sum(abs(coeffs.get(h, 0) - coeffs.get(multiply(h, g), 0))
+                      for h in hs)
+    return abs(sum(coeffs.values()) - 1), translation
 
 
 def check_certificate(cert: AmenabilityCertificate) -> CertificateReport:
@@ -569,39 +533,16 @@ def check_certificate(cert: AmenabilityCertificate) -> CertificateReport:
     eta = cert.eta
     rows = []
     for level, item in cert.K:
+        if isinstance(item, str):
+            item = Word.parse(item, eta.groupoid.rank)
         if level == INFINITY:
-            g: Word = item if isinstance(item, Word) else Word.parse(
-                item, eta.groupoid.rank)
-            tail = eta.tail.coeffs
-            total = 0
-            for c in tail.values():
-                total = _add_coeff(total, c)
-            norm_defect = _abs_value(_add_coeff(total, -1))
-            hs = set(tail) | {h * g.inverse() for h in tail}
-            trans = 0
-            for h in hs:
-                a = tail.get(h, 0)
-                b = tail.get(h * g, 0)
-                trans = _add_coeff(trans, _abs_value(_add_coeff(a, -b)))
-            rows.append(CertificateRow((INFINITY, g), norm_defect, trans))
+            g, coeffs = item, eta.tail.coeffs
+            group = (Word.__mul__, Word.inverse)
         else:
             q = eta.groupoid.quotient(level)
-            g_idx = item if isinstance(item, int) else q.evaluate(
-                item if isinstance(item, Word)
-                else Word.parse(item, eta.groupoid.rank))
-            fib = eta.fiber(level)
-            total = 0
-            for c in fib.values():
-                total = _add_coeff(total, c)
-            norm_defect = _abs_value(_add_coeff(total, -1))
-            g_inv = q.invert_element(g_idx)
-            hs = set(fib) | {q.multiply(h, g_inv) for h in fib}
-            trans = 0
-            for h in hs:
-                a = fib.get(h, 0)
-                b = fib.get(q.multiply(h, g_idx), 0)
-                trans = _add_coeff(trans, _abs_value(_add_coeff(a, -b)))
-            rows.append(CertificateRow((level, g_idx), norm_defect, trans))
+            g = item if isinstance(item, int) else q.evaluate(item)
+            coeffs, group = eta.fiber(level), (q.multiply, q.invert_element)
+        rows.append(CertificateRow((level, g), *defects(coeffs, g, *group)))
     return CertificateReport(tuple(rows), cert.epsilon)
 
 
@@ -618,9 +559,7 @@ def certificate_from_folner(xi: GroupAlgebraElement, groupoid: HLSGroupoid,
 def folner_from_certificate(cert: AmenabilityCertificate) -> GroupAlgebraElement:
     """Normalized restriction of eta to the infinity fiber."""
     tail = cert.eta.tail
-    mass = 0
-    for c in tail.coeffs.values():
-        mass = _add_coeff(mass, c)
+    mass = tail.sum_of_coefficients()
     mass_r = real_part(mass)
     if not mass_r:
         raise DegenerateCertificateError(

@@ -20,6 +20,7 @@ DEFAULT_TOL_REL = 1e-10
 MAX_BASIS = 160
 MAX_RESTARTS = 60
 RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + Ritz residual)
+ROUNDING_ULPS = 256  # rounding allowance on theta + residual, in ulps
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,10 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
 
     Runs the deterministic seeded start and the constant-vector start and
     keeps the best.  The upper endpoint is the smaller of sqrt(theta +
-    residual), tagged "lanczos-residual", and the caller's upper_bound,
-    tagged upper_provenance.  Raises ConvergenceError (carrying the best
-    verified bracket) if neither run certifies the requested width.
+    residual) plus a rounding allowance, tagged "lanczos-residual", and
+    the caller's upper_bound, tagged upper_provenance.  Raises
+    ConvergenceError (carrying the best verified bracket) if neither run
+    certifies the requested width.
     """
     if dim == 0:
         return NormBracket(0.0, 0.0, lower_provenance, upper_provenance)
@@ -191,7 +193,10 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
         if theta > best_theta:
             best_theta, best_res = theta, res
     sigma = float(np.sqrt(max(best_theta, 0.0)))
-    sigma_hi = float(np.sqrt(max(best_theta + best_res, 0.0)))
+    # without the allowance, rounding can put sqrt(theta + residual) an
+    # ulp below the norm it bounds (4 on fd level 4 for the generator sum)
+    slack = ROUNDING_ULPS * np.finfo(float).eps * max(abs(best_theta), 1.0)
+    sigma_hi = float(np.sqrt(max(best_theta + best_res + slack, 0.0)))
     bracket = _bracket(sigma, sigma_hi, upper_bound, lower_provenance,
                        upper_provenance, converged_any)
     if not converged_any:

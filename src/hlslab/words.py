@@ -158,16 +158,27 @@ def ball(radius: int, rank: int = 2, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
     return words
 
 
-def _coeff_add(a, b):
-    if isinstance(a, RationalComplex) or isinstance(b, RationalComplex):
-        return RationalComplex.of(a) + RationalComplex.of(b)
-    return a + b
+# -- finitely supported functions on a group --------------------------------
+# Coefficient dicts {group element: coeff} over any group given by its
+# multiply and inverse: Words at infinity, element indices in a quotient.
+
+def convolve_coeffs(a: dict, b: dict, multiply) -> dict:
+    """(a*b)(g) = sum over multiply(u, v) = g of a(u) b(v); no zeros."""
+    out: dict = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = multiply(u, v)
+            out[w] = out.get(w, 0) + cu * cv
+    return {w: c for w, c in out.items() if c}
 
 
-def _coeff_mul(a, b):
-    if isinstance(a, RationalComplex) or isinstance(b, RationalComplex):
-        return RationalComplex.of(a) * RationalComplex.of(b)
-    return a * b
+def adjoint_coeffs(a: dict, inverse) -> dict:
+    """a*(g) = conj(a(g^-1))."""
+    return {inverse(g): conj(c) for g, c in a.items()}
+
+
+def l1_of(a: dict) -> float:
+    return float(sum(abs(c) for c in a.values()))
 
 
 def _abs_squared(c):
@@ -215,7 +226,7 @@ class GroupAlgebraElement:
         for w, c in pairs:
             if isinstance(w, str):
                 w = Word.parse(w, rank)
-            coeffs[w] = _coeff_add(coeffs.get(w, 0), c)
+            coeffs[w] = coeffs.get(w, 0) + c
         return GroupAlgebraElement(rank, coeffs)
 
     @staticmethod
@@ -231,7 +242,7 @@ class GroupAlgebraElement:
         self._check_rank(other)
         coeffs = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            coeffs[w] = _coeff_add(coeffs.get(w, 0), c)
+            coeffs[w] = coeffs.get(w, 0) + c
         return GroupAlgebraElement(self.rank, coeffs)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -239,7 +250,7 @@ class GroupAlgebraElement:
 
     def scale(self, s) -> "GroupAlgebraElement":
         return GroupAlgebraElement(
-            self.rank, {w: _coeff_mul(s, c) for w, c in self.coeffs.items()})
+            self.rank, {w: s * c for w, c in self.coeffs.items()})
 
     def _check_rank(self, other):
         if self.rank != other.rank:
@@ -248,17 +259,13 @@ class GroupAlgebraElement:
     def convolve(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         """(x*y)(g) = sum_h x(g h^-1) y(h)."""
         self._check_rank(other)
-        coeffs: dict = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                w = u * v
-                coeffs[w] = _coeff_add(coeffs.get(w, 0), _coeff_mul(cu, cv))
-        return GroupAlgebraElement(self.rank, coeffs)
+        return GroupAlgebraElement(self.rank, convolve_coeffs(
+            self.coeffs, other.coeffs, Word.__mul__))
 
     def adjoint(self) -> "GroupAlgebraElement":
         """x*(g) = conj(x(g^-1))."""
         return GroupAlgebraElement(
-            self.rank, {w.inverse(): conj(c) for w, c in self.coeffs.items()})
+            self.rank, adjoint_coeffs(self.coeffs, Word.inverse))
 
     def is_self_adjoint(self, tol: float = 0.0) -> bool:
         adj = self.adjoint()
@@ -271,19 +278,13 @@ class GroupAlgebraElement:
         return True
 
     def sum_of_coefficients(self):
-        total = 0
-        for c in self.coeffs.values():
-            total = _coeff_add(total, c)
-        return total
+        return sum(self.coeffs.values())
 
     def l1_norm(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs.values()))
+        return l1_of(self.coeffs)
 
     def l2_norm_squared(self):
-        total = 0
-        for c in self.coeffs.values():
-            total = _coeff_add(total, _abs_squared(c))
-        return total
+        return sum(_abs_squared(c) for c in self.coeffs.values())
 
     def l2_norm(self) -> float:
         return math.sqrt(float(self.l2_norm_squared()))
@@ -342,7 +343,7 @@ class GroupAlgebraElement:
                 c = complex(re_v, im_v)
                 if c.imag == 0:
                     c = c.real
-            coeffs[w] = _coeff_add(coeffs.get(w, 0), c)
+            coeffs[w] = coeffs.get(w, 0) + c
         return GroupAlgebraElement(rank, coeffs)
 
     def __str__(self) -> str:

@@ -194,6 +194,17 @@ def test_character_formula_random_cyclic(gcyc):
         assert abs(br.lower - expected) < 1e-8 * max(1.0, expected)
 
 
+def test_upper_endpoint_not_below_exact_norm(gfd, gcyc):
+    # the generator sum has norm exactly 4 on every fd fiber and a + A has
+    # norm exactly 2 on every cyclic fiber; sqrt(theta + residual) alone
+    # rounds one ulp below both
+    for n in (1, 2, 3, 4):
+        assert quasi_regular_norm(gen_sum(), gfd, n).upper >= 4.0
+    x = GroupAlgebraElement.from_pairs([("a", 1), ("A", 1)], 1)
+    for n in range(1, 9):
+        assert quasi_regular_norm(x, gcyc, n).upper >= 2.0
+
+
 def test_trivial_fiber_is_scalar(gfd):
     br = quasi_regular_norm(gen_sum(), gfd, 1)
     assert br.lower == br.upper == 4.0
@@ -392,6 +403,9 @@ def test_norm_monotonicity_along_tower(gfd, gcong):
 
 # -- supremum over fibers -----------------------------------------------------
 
+UPPER_TAGS = ("l1", "lanczos-residual", "trivial-representation", "haagerup")
+
+
 def test_reduced_norm_tail_zero_block(gfd):
     q = gfd.quotient(2)
     f = FiberedFunction(gfd, GroupAlgebraElement.zero(2), 3,
@@ -400,6 +414,7 @@ def test_reduced_norm_tail_zero_block(gfd):
     # a single translation scaled by 2 is a partial isometry times 2
     assert rep.bracket.lower == pytest.approx(2.0, abs=1e-9)
     assert rep.bracket.upper == pytest.approx(2.0, abs=1e-9)
+    assert rep.bracket.upper_provenance in UPPER_TAGS
     assert all(r.level != INFINITY for r in rep.rows)
 
 
@@ -408,6 +423,10 @@ def test_reduced_norm_generator_sum(gfd):
     rep = reduced_norm_estimate(f, 4)
     assert rep.bracket.lower == pytest.approx(4.0, abs=1e-7)
     assert rep.bracket.upper == pytest.approx(4.0, abs=1e-7)
+    assert rep.bracket.upper_provenance in UPPER_TAGS
+    # the lower endpoint carries the tag of the row that attains it
+    best = max(rep.rows, key=lambda r: r.bracket.lower)
+    assert rep.bracket.lower_provenance == best.bracket.lower_provenance
 
 
 def test_reduced_norm_cyclic_tight_bracket(gcyc):

@@ -87,6 +87,25 @@ def gen_sum():
     return GroupAlgebraElement.generator_sum(2)
 
 
+MIXED_VALUES = [3, -2, 0, Fraction(5, 7), Fraction(-1, 3), 0.5, -1.25, 0.1,
+                complex(1.5, -2), 2j,
+                RationalComplex(Fraction(1, 2), Fraction(-3, 4)),
+                RationalComplex(Fraction(2)), RationalComplex(Fraction(0))]
+
+
+def test_rational_complex_mixed_arithmetic():
+    # plain +, - and * on coefficients equal the RationalComplex
+    # computation, in value and type, whenever one operand is exact-complex
+    pairs = [(a, b) for a in MIXED_VALUES for b in MIXED_VALUES
+             if RationalComplex in (type(a), type(b))]
+    for a, b in pairs:
+        ra, rb = RationalComplex.of(a), RationalComplex.of(b)
+        for got, want in ((a + b, ra + rb), (a - b, ra - rb),
+                          (a * b, ra * rb)):
+            assert type(got) is RationalComplex, (a, b)
+            assert (got.re, got.im) == (want.re, want.im), (a, b)
+
+
 def test_convolve_deltas():
     x = GroupAlgebraElement.delta(w(A))
     y = GroupAlgebraElement.delta(w(Ai))
