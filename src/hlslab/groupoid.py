@@ -194,38 +194,47 @@ def _fiber_dtype(coeffs: dict):
     return np.float64
 
 
+def _scalar(c, dtype):
+    """c as an entry of an operator of the given dtype; object keeps it
+    exact."""
+    if dtype is object:
+        return c
+    c = complex(c)
+    return c if np.issubdtype(dtype, np.complexfloating) else c.real
+
+
+def _gather_matvec(terms, size: int, dtype):
+    """The operator v -> sum of c * v[gather] over the (c, gather) terms.
+    A gather entry equal to size reads a zero slot past the end of v."""
+    terms = [(_scalar(c, dtype), gather) for c, gather in terms]
+    buf = np.zeros(size + 1, dtype=dtype)  # buf[size] stays 0
+
+    def apply(v):
+        buf[:-1] = v
+        out = np.zeros(size, dtype=dtype)
+        for c, gather in terms:
+            out += c * buf[gather]
+        return out
+
+    return apply
+
+
 def fiber_matvec(q: FiniteQuotient, coeffs: dict):
     """Left-convolution operator on l2 of the quotient:
     (rho(f) xi)(g) = sum_s f(s) xi(s^-1 g)."""
-    tables = [(complex(c), q.left_mult_table(q.invert_element(s)))
-              for s, c in coeffs.items()]
-
-    def apply(x):
-        y = np.zeros(q.order, dtype=x.dtype)
-        for c, tbl in tables:
-            cc = c if np.issubdtype(x.dtype, np.complexfloating) else c.real
-            y += cc * x[tbl]
-        return y
-
-    return apply
+    return _gather_matvec(
+        [(c, q.left_mult_table(q.invert_element(s)))
+         for s, c in coeffs.items()], q.order, _fiber_dtype(coeffs))
 
 
 def rho_dense(q: FiniteQuotient, coeffs: dict, exact: bool = False):
     """Dense matrix of the fiber representation: row g, column h, entry
     f(g h^-1).  exact=True keeps coefficients as Python objects."""
-    if exact:
-        m = [[0] * q.order for _ in range(q.order)]
-        for s, c in coeffs.items():
-            tbl = q.left_mult_table(s)
-            for h in range(q.order):
-                m[int(tbl[h])][h] += c
-        return m
-    m = np.zeros((q.order, q.order), dtype=_fiber_dtype(coeffs))
+    dtype = object if exact else _fiber_dtype(coeffs)
+    m = np.zeros((q.order, q.order), dtype=dtype)
+    cols = np.arange(q.order)
     for s, c in coeffs.items():
-        tbl = q.left_mult_table(s)
-        cc = complex(c)
-        m[tbl, np.arange(q.order)] += (
-            cc if m.dtype == np.complex128 else cc.real)
+        m[q.left_mult_table(s), cols] += _scalar(c, dtype)
     return m
 
 
@@ -240,36 +249,10 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
         v = abs(sum(complex(c) for c in coeffs.values()))
         return NormBracket(v, v, "trivial-representation",
                            "trivial-representation")
-    dtype = _fiber_dtype(coeffs)
-    apply_m = fiber_matvec(q, coeffs)
-    apply_ms = fiber_matvec(q, adjoint_coeffs(coeffs, q.invert_element))
-    return singular_value_bracket(apply_m, apply_ms, q.order,
-                                  upper_bound=l1, dtype=dtype,
-                                  tol_rel=tol_rel)
-
-
-def _truncation_matvec(bi: BallIndex, x: GroupAlgebraElement, dtype,
-                       gathers: dict[Word, np.ndarray]):
-    """Compression of the left-regular action of x to the ball: one gather
-    per support word through a zero-padded buffer.  gathers caches the
-    word tables, so x and its adjoint share those of common words."""
-    complex_op = np.issubdtype(dtype, np.complexfloating)
-    terms = []
-    for w, c in x.coeffs.items():
-        if w not in gathers:
-            gathers[w] = bi.word_move(w)
-        c = complex(c)
-        terms.append((c if complex_op else c.real, gathers[w]))
-    buf = np.zeros(bi.size + 1, dtype=dtype)  # buf[size] stays 0
-
-    def apply(v):
-        buf[:-1] = v
-        out = np.zeros(bi.size, dtype=dtype)
-        for c, gather in terms:
-            out += c * buf[gather]
-        return out
-
-    return apply
+    return singular_value_bracket(
+        fiber_matvec(q, coeffs),
+        fiber_matvec(q, adjoint_coeffs(coeffs, q.invert_element)), q.order,
+        upper_bound=l1, dtype=_fiber_dtype(coeffs), tol_rel=tol_rel)
 
 
 def _truncation_bracket(x: GroupAlgebraElement, radius: int, ball_cap: int,
@@ -279,13 +262,16 @@ def _truncation_bracket(x: GroupAlgebraElement, radius: int, ball_cap: int,
     False: the Rayleigh lower endpoint is still certified."""
     bi = BallIndex(x.rank, radius, cap=ball_cap)
     dtype = _fiber_dtype(x.coeffs)
-    gathers: dict[Word, np.ndarray] = {}
+    x_star = x.adjoint()
+    # one gather table per support word, shared by x and its adjoint
+    gathers = {w: bi.word_move(w) for w in {*x.coeffs, *x_star.coeffs}}
+    compressions = [
+        _gather_matvec([(c, gathers[w]) for w, c in y.coeffs.items()],
+                       bi.size, dtype) for y in (x, x_star)]
     try:
         return singular_value_bracket(
-            _truncation_matvec(bi, x, dtype, gathers),
-            _truncation_matvec(bi, x.adjoint(), dtype, gathers), bi.size,
-            upper_bound=None, lower_provenance="truncation",
-            dtype=dtype, tol_rel=tol_rel)
+            *compressions, bi.size, upper_bound=None,
+            lower_provenance="truncation", dtype=dtype, tol_rel=tol_rel)
     except ConvergenceError as err:
         return err.bracket
 
@@ -354,11 +340,11 @@ class ReducedNormReport:
     bracket: NormBracket
 
 
-def _level_rows(f: FiberedFunction, n_max: int,
+def _level_rows(f: FiberedFunction, levels,
                 tol_rel: float) -> list[LevelRow]:
     return [LevelRow(n, f.groupoid.quotient(n).order,
                      rho_norm(f, n, tol_rel=tol_rel))
-            for n in range(1, n_max + 1)]
+            for n in levels]
 
 
 def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
@@ -366,10 +352,13 @@ def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
                           tol_rel: float = 1e-10) -> ReducedNormReport:
     """Bracket for sup over all fibers of the fiber representation norms.
 
-    Levels above n_max are dominated by the l1 norm of the tail, so the
-    upper endpoint is valid for the true supremum.
+    Levels 1..n_max and every override level are computed; the other
+    fibers are zero or pushforwards of the tail, so the l1 norm of the
+    tail dominates them and the upper endpoint is valid for the true
+    supremum.
     """
-    rows = _level_rows(f, n_max, tol_rel)
+    levels = sorted(set(range(1, n_max + 1)) | set(f.override_levels()))
+    rows = _level_rows(f, levels, tol_rel)
     brackets = [r.bracket for r in rows]
     if not f.is_tail_zero():
         inf_bracket = rho_norm(f, INFINITY, radius, ball_cap, tol_rel)
@@ -411,7 +400,7 @@ def fd_norm_profile(x: GroupAlgebraElement, groupoid: HLSGroupoid,
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("profile element must be self-adjoint")
     f = FiberedFunction(groupoid, x, 1, {})
-    rows = _level_rows(f, n_max, tol_rel)
+    rows = _level_rows(f, range(1, n_max + 1), tol_rel)
     failures = [(a.level, b.level) for a, b in zip(rows, rows[1:])
                 if b.bracket.lower + 1e-8 < a.bracket.lower]
     sup_finite = reduce(NormBracket.max, (r.bracket for r in rows))

@@ -31,11 +31,13 @@ def is_identity(p: np.ndarray) -> bool:
     return bool(np.array_equal(p, np.arange(len(p), dtype=p.dtype)))
 
 
-def bfs_order(gens: list[np.ndarray], cap: int | None = None) -> int | None:
-    """Number of elements of <gens> by breadth-first closure.
+def bfs_order(gens: list[np.ndarray],
+              cap: int | None = None) -> dict[bytes, int] | None:
+    """Breadth-first closure of <gens>: perm_key -> index in discovery
+    order, right-multiplying by g1, g1^-1, g2, g2^-1, ... in turn.
 
-    Returns None if the count exceeds cap.  Generators need not include
-    inverses (the group is finite).
+    Returns None if the group has more than cap elements.  Generators need
+    not include inverses (the group is finite).
     """
     degree = len(gens[0])
     ident = identity_perm(degree)
@@ -43,7 +45,7 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None) -> int | None:
     for g in gens:
         all_gens.append(np.asarray(g, dtype=np.int32))
         all_gens.append(invert(all_gens[-1]))
-    seen = {perm_key(ident)}
+    seen = {perm_key(ident): 0}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -52,12 +54,12 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None) -> int | None:
                 h = compose(g, s)
                 k = perm_key(h)
                 if k not in seen:
-                    seen.add(k)
-                    if cap is not None and len(seen) > cap:
+                    if cap is not None and len(seen) >= cap:
                         return None
+                    seen[k] = len(seen)
                     nxt.append(h)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 def _orbit_transversal(beta: int, gens: list[np.ndarray], degree: int):

@@ -64,31 +64,16 @@ class FiniteQuotient:
         self._left_tables: dict[int, np.ndarray] = {}
 
     def _enumerate(self, cap):
-        steps = []
-        for g in self.gen_perms:
-            steps.append(g)
-            steps.append(invert(g))
-        ident = identity_perm(self.degree)
-        self.elements: list[np.ndarray] = [ident]
-        self.index: dict[bytes, int] = {perm_key(ident): 0}
-        head = 0
-        while head < len(self.elements):
-            g = self.elements[head]
-            head += 1
-            for s in steps:
-                h = compose(g, s)
-                k = perm_key(h)
-                if k not in self.index:
-                    if len(self.elements) >= cap:
-                        raise ResourceError(
-                            f"quotient order exceeds the fiber cap {cap}")
-                    self.index[k] = len(self.elements)
-                    self.elements.append(h)
-        self.order = len(self.elements)
-        inv_idx = np.empty(self.order, dtype=np.int64)
-        for i, p in enumerate(self.elements):
-            inv_idx[i] = self.index[perm_key(invert(p))]
-        self.inverse_index = inv_idx
+        index = bfs_order(self.gen_perms, cap)
+        if index is None:
+            raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
+        self.index: dict[bytes, int] = index
+        # views of the index keys, so each permutation is stored once
+        self.elements = [np.frombuffer(k, dtype=np.int32) for k in index]
+        self.order = len(index)
+        self.inverse_index = np.array(
+            [index[perm_key(invert(p))] for p in self.elements],
+            dtype=np.int64)
 
     # -- group structure on element indices --------------------------------
 
@@ -169,38 +154,30 @@ def kernel_refines(p: FiniteQuotient, q: FiniteQuotient) -> bool:
     """
     if p.rank != q.rank:
         raise InputError("rank mismatch in kernel_refines")
-    paired = []
-    for gp, gq in zip(p.gen_perms, q.gen_perms):
-        paired.append(np.concatenate([gp, gq + p.degree]).astype(np.int32))
-    return bfs_order(paired, cap=p.order) == p.order
+    paired = [np.concatenate([gp, gq + p.degree]).astype(np.int32)
+              for gp, gq in zip(p.gen_perms, q.gen_perms)]
+    return bfs_order(paired, cap=p.order) is not None
 
 
 # -- Lubotzky-Shalom FD kernel enumeration ---------------------------------
 
-def _tuple_bfs_order(gens: list[tuple[int, ...]], cap: int) -> int | None:
-    """Order of a small permutation group over tuples, aborting above cap."""
-    degree = len(gens[0])
-    ident = tuple(range(degree))
-    steps = list(gens)
-    for g in gens:
-        inv = [0] * degree
-        for i, x in enumerate(g):
-            inv[x] = i
-        steps.append(tuple(inv))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in steps:
-                h = tuple(g[x] for x in s)
-                if h not in seen:
-                    seen.add(h)
-                    if len(seen) > cap:
-                        return None
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen)
+def _class_reps(n: int) -> list[np.ndarray]:
+    """One permutation of {0..n-1} per cycle type (partition of n), each a
+    product of cycles on consecutive points."""
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for k in range(min(m, largest), 0, -1):
+            for rest in partitions(m - k, k):
+                yield (k,) + rest
+
+    reps = []
+    for parts in partitions(n, n):
+        p = np.arange(n, dtype=np.int32)
+        for start, k in zip(np.cumsum((0,) + parts), parts):
+            p[start:start + k] = np.roll(p[start:start + k], -1)
+        reps.append(p)
+    return reps
 
 
 def _check_hom_level(n: int, hom_level_cap: int) -> None:
@@ -210,41 +187,32 @@ def _check_hom_level(n: int, hom_level_cap: int) -> None:
             f"enumeration cap {hom_level_cap}")
 
 
-def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP,
-                          fiber_cap: int = DEFAULT_FIBER_CAP
+def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
                           ) -> list[FiniteQuotient]:
     """One quotient per distinct kernel of a homomorphism F_2 -> F, |F| <= n.
 
     Every group of order <= n embeds in S_n, and a kernel only depends on
     the corestriction to the image, so pairs (sigma, tau) of permutations in
     S_n generating a subgroup of order <= n exhaust all kernels.
-    Deduplication is by kernel equality (mutual refinement).
+    Simultaneous conjugation keeps the kernel, so sigma runs over one
+    representative per cycle type.  Deduplication is by kernel equality
+    (mutual refinement).
     """
     if n < 1:
         raise InputError("level must be >= 1")
     _check_hom_level(n, hom_level_cap)
-    probe_words = [w for w in ball(3, 2) if not w.is_identity()]
     reps: list[FiniteQuotient] = []
-    signatures: dict[tuple, list[int]] = {}
-    perms = list(itertools.permutations(range(n)))
-    for sigma in perms:
-        for tau in perms:
-            if _tuple_bfs_order([sigma, tau], cap=n) is None:
+    taus = [np.array(t, dtype=np.int32)
+            for t in itertools.permutations(range(n))]
+    for sigma in _class_reps(n):
+        for tau in taus:
+            try:
+                cand = FiniteQuotient([sigma, tau], rank=2, cap=n)
+            except ResourceError:
                 continue
-            cand = FiniteQuotient(
-                [np.array(sigma, dtype=np.int32),
-                 np.array(tau, dtype=np.int32)], rank=2, cap=fiber_cap)
-            # cheap prefilter: which short words die in this kernel
-            sig = (cand.order,
-                   tuple(cand.evaluate(w) == 0 for w in probe_words))
-            dup = False
-            for j in signatures.get(sig, ()):
-                # equal orders, so one-way refinement implies equality
-                if kernel_refines(cand, reps[j]):
-                    dup = True
-                    break
-            if not dup:
-                signatures.setdefault(sig, []).append(len(reps))
+            # equal orders, so one-way refinement implies equality
+            if not any(r.order == cand.order and kernel_refines(cand, r)
+                       for r in reps):
                 reps.append(cand)
     return reps
 
@@ -252,7 +220,7 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP,
 # -- quotient families ------------------------------------------------------
 
 def _fd_quotient(n: int, hom_level_cap: int, fiber_cap: int) -> FiniteQuotient:
-    reps = enumerate_kernel_reps(n, hom_level_cap, fiber_cap)
+    reps = enumerate_kernel_reps(n, hom_level_cap)
     gen_a = []
     gen_b = []
     offset = 0

@@ -87,6 +87,7 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
     v = v / nv
     complex_basis = np.issubdtype(dtype, np.complexfloating)
     check_every = 8
+    breakdown_ulp = ROUNDING_ULPS * np.finfo(float).eps
     best = (-np.inf, np.inf)
     m = min(max_basis, dim)
     # Krylov basis as contiguous rows, shared by every restart
@@ -114,13 +115,15 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
                 w -= coeffs @ active
             beta = float(np.linalg.norm(w))
             betas.append(beta)
-            if beta <= 1e-14 * max(1.0, abs(alpha)):
+            # rounding leaves a residual of a few ulps of the largest
+            # |alpha| seen; below that the Krylov space is exhausted
+            if beta <= breakdown_ulp * max(1.0, max(map(abs, alphas))):
                 breakdown = True
             elif j + 1 < m:
                 np.divide(w, beta, out=V[j + 1])
             if breakdown or (j + 1) % check_every == 0 or j + 1 == m:
                 theta, y, s = _ritz_top(alphas, betas[:-1], V)
-                residual = 0.0 if breakdown else abs(betas[-1] * s[-1])
+                residual = abs(betas[-1] * s[-1])
                 if theta > best[0]:
                     best = (theta, residual)
                 if residual <= tol or breakdown or len(alphas) >= dim:
@@ -144,12 +147,14 @@ def _bracket(sigma: float, sigma_hi: float, upper_bound: float | None,
              lower_provenance: str, upper_provenance: str,
              converged: bool = True) -> NormBracket:
     """[sigma, min(sigma_hi, upper_bound)]; the upper endpoint keeps the
-    caller's tag only when the caller's bound is the smaller one."""
+    caller's tag only when the caller's bound is the smaller one.  A sigma
+    rounded above that endpoint is clipped to it, so the caller's bound
+    stays a bound."""
     if upper_bound is None or sigma_hi < upper_bound:
         upper, upper_provenance = sigma_hi, RESIDUAL_PROVENANCE
     else:
         upper = upper_bound
-    return NormBracket(sigma, max(upper, sigma), lower_provenance,
+    return NormBracket(min(sigma, upper), upper, lower_provenance,
                        upper_provenance, converged)
 
 

@@ -14,7 +14,8 @@ from hlslab.exact import RationalComplex
 from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              HLSGroupoid, adjoint_fibered, certificate_from_folner,
                              check_certificate, convolve_fibered,
-                             fd_norm_profile, fiber_norm_bracket,
+                             fd_norm_profile, fiber_matvec,
+                             fiber_norm_bracket,
                              folner_from_certificate, infinity_norm_bracket,
                              markov_element, quasi_regular_norm,
                              reduced_norm_estimate, restrict_to_infinity,
@@ -235,6 +236,30 @@ def test_lanczos_matches_dense_eigensolver(gfd, gcong):
             assert br.upper >= expected - 1e-12
 
 
+@pytest.mark.parametrize("family,n", [("fd", 3), ("congruence", 3)])
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_fiber_matvec_matches_dense(gfd, gcong, family, n, complex_coeffs):
+    q = {"fd": gfd, "congruence": gcong}[family].quotient(n)
+    rng = random.Random(n)
+    coeffs = {}
+    for s in rng.sample(range(q.order), 5):
+        c = rng.uniform(-2, 2)
+        coeffs[s] = complex(c, rng.uniform(-2, 2)) if complex_coeffs else c
+    m = rho_dense(q, coeffs)
+    v = np.random.default_rng(n).standard_normal(q.order).astype(m.dtype)
+    assert np.allclose(fiber_matvec(q, coeffs)(v), m @ v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("c", [0.7, 1.5, 2, 3])
+@pytest.mark.parametrize("w", ["a", "ab", "aB"])
+def test_scaled_translation_bracket_holds_its_norm(gfd, n, c, w):
+    # c * delta_w is |c| times a unitary, so its norm is exactly |c|
+    q = gfd.quotient(n)
+    br = fiber_norm_bracket(q, {q.evaluate(Word.parse(w)): c})
+    assert br.lower <= abs(c) <= br.upper
+
+
 @pytest.fixture(scope="module")
 def small_fibers(gfd, gcong):
     return [g.quotient(n) for g, n in
@@ -427,6 +452,22 @@ def test_reduced_norm_generator_sum(gfd):
     # the lower endpoint carries the tag of the row that attains it
     best = max(rep.rows, key=lambda r: r.bracket.lower)
     assert rep.bracket.lower_provenance == best.bracket.lower_provenance
+
+
+def test_reduced_norm_counts_overrides_above_n_max(gfd):
+    # an override at level 3 is a fiber that the tail's l1 norm does not
+    # dominate, so it must enter the supremum even when n_max is 2
+    a = gfd.quotient(3).evaluate(Word.parse("a"))
+    zero_tail = FiberedFunction(gfd, GroupAlgebraElement.zero(2), 4,
+                                {3: {a: 2.0}})
+    assert rho_norm(zero_tail, 3).lower == pytest.approx(2.0, abs=1e-9)
+    rep = reduced_norm_estimate(zero_tail, 2)
+    assert rep.bracket.lower == pytest.approx(2.0, abs=1e-9)
+    assert rep.bracket.upper >= 2.0
+    gen_tail = FiberedFunction(gfd, gen_sum(), 4, {3: {a: 9.0}})
+    rep = reduced_norm_estimate(gen_tail, 2)
+    assert rep.bracket.lower == pytest.approx(9.0, abs=1e-9)
+    assert rep.bracket.upper >= 9.0
 
 
 def test_reduced_norm_cyclic_tight_bracket(gcyc):

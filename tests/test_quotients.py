@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -40,6 +41,25 @@ def test_kernel_reps_level_3():
 def test_kernel_reps_cap():
     with pytest.raises(ResourceError):
         enumerate_kernel_reps(7)
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 8), (4, 15)])
+def test_kernel_reps_match_all_pairs(n, count):
+    # brute force: every pair (sigma, tau) in S_n x S_n, deduplicated by
+    # mutual refinement, against sigma over cycle types only
+    def same(p, q):
+        return kernel_refines(p, q) and kernel_refines(q, p)
+
+    brute = []
+    for sigma, tau in itertools.product(itertools.permutations(range(n)),
+                                        repeat=2):
+        gens = [np.array(sigma, dtype=np.int32), np.array(tau, dtype=np.int32)]
+        q = FiniteQuotient(gens, rank=2)
+        if q.order <= n and not any(same(q, r) for r in brute):
+            brute.append(q)
+    reps = enumerate_kernel_reps(n)
+    assert len(brute) == len(reps) == count
+    assert all(any(same(p, q) for q in brute) for p in reps)
 
 
 def test_kernels_refine_to_next_level():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hlslab.spectral import lanczos_extreme
+from hlslab.spectral import ROUNDING_ULPS, lanczos_extreme
 
 
 def _hermitian(dim, dtype, seed):
@@ -52,3 +52,26 @@ def test_lanczos_leaves_start_and_operator_output_alone(dtype):
     lanczos_extreme(apply, dim, start, tol=1e-10, dtype=dtype, max_basis=8)
     assert np.array_equal(start, np.ones(dim, dtype=dtype))
     assert all(np.array_equal(y, kept) for y, kept in outputs)
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+def test_lanczos_stops_on_an_exhausted_krylov_space(scale):
+    # scale * u u^T from a start near u spans a 2-dimensional Krylov space;
+    # the dense product leaves rounding noise of size eps * scale after it
+    dim = 300
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    a = scale * np.outer(u, u)
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        return a @ x
+
+    start = u + 1e-3 * rng.standard_normal(dim)
+    theta, residual, converged = lanczos_extreme(apply, dim, start, tol=1e-10)
+    assert converged
+    assert calls[0] == 2
+    assert theta == pytest.approx(scale, rel=1e-12)
+    assert residual <= ROUNDING_ULPS * np.finfo(float).eps * scale
