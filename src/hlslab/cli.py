@@ -336,7 +336,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fiber-cap", type=int, dest="fiber_cap",
                    help="max quotient order")
     p.add_argument("--ball-cap", type=int, dest="ball_cap",
-                   help="max ball element count")
+                   help="max points the infinity truncation stores: ball "
+                        "words, or radius + 1 on the radial path")
     p.add_argument("--hom-level-cap", type=int, dest="hom_level_cap",
                    help="max level for kernel enumeration")
     p.add_argument("--infinity-ceiling", type=float, dest="infinity_ceiling",

@@ -11,6 +11,7 @@ part supported over the finite fibers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -18,10 +19,12 @@ from functools import reduce
 import numpy as np
 
 from .balls import BallIndex
-from .errors import ConvergenceError, DegenerateCertificateError, InputError
+from .errors import (ConvergenceError, DegenerateCertificateError, InputError,
+                     ResourceError)
 from .exact import RationalComplex, is_exact, real_part
 from .quotients import ApproximatedGroup, FiniteQuotient
-from .spectral import NormBracket, singular_value_bracket, symmetric_top_eigenvalue
+from .spectral import (ROUNDING_ULPS, NormBracket, singular_value_bracket,
+                       symmetric_top_eigenvalue)
 from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
                     adjoint_coeffs, convolve_coeffs, l1_of)
 
@@ -255,11 +258,81 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
         upper_bound=l1, dtype=_fiber_dtype(coeffs), tol_rel=tol_rel)
 
 
+def _radial_scale(x: GroupAlgebraElement) -> float | None:
+    """c when x = c * (generator sum) with real c > 0 and rank >= 2, else
+    None."""
+    values = list(x.coeffs.values())
+    if (x.rank < 2 or len(values) != 2 * x.rank
+            or any(len(w) != 1 for w in x.coeffs)
+            or any(v != values[0] for v in values)):
+        return None
+    c = complex(values[0])
+    return c.real if c.imag == 0 and c.real > 0 else None
+
+
+def _radial_bracket(c: float, rank: int, radius: int,
+                    ball_cap: int) -> NormBracket:
+    """Bracket for the norm of the compression of c * (generator sum) to
+    the ball of the given radius, from its exact radial reduction.
+
+    The compression M is nonnegative and commutes with the tree
+    automorphisms fixing the root, so its Perron vector is radial.  On the
+    normalized sphere indicators M acts as the (r+1)-square tridiagonal T
+    with zero diagonal and off-diagonals b0 = c sqrt(2k), then q =
+    c sqrt(2k-1).  With lambda = 2q cos t, the Perron vector of T is
+    phi_j = sin((r+1-j) t) for j >= 1 and phi_0 = b0 phi_1 / lambda, where
+    t is the root in (0, pi/(r+1)) of 2q^2 cos t sin((r+1) t) =
+    b0^2 sin(r t).  Whatever the accuracy of t, the Rayleigh quotient of
+    phi (that of the lifted radial vector on M) is a lower endpoint and
+    max_j (T phi)_j / phi_j (Collatz-Wielandt) an upper one.
+    """
+    if radius + 1 > ball_cap:
+        raise ResourceError(
+            f"the radial reduction of ball({radius}, {rank}) has "
+            f"{radius + 1} points, exceeding the configured element cap "
+            f"{ball_cap}")
+    if radius == 0:
+        return NormBracket(0.0, 0.0, "truncation", "collatz-wielandt")
+    k2 = 2 * rank
+
+    def secular(t):  # positive on (0, t*), negative at pi/(r+1)
+        return (2 * (k2 - 1) * math.cos(t) * math.sin((radius + 1) * t)
+                - k2 * math.sin(radius * t))
+
+    lo, hi = 0.0, math.pi / (radius + 1)
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if secular(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    q = c * math.sqrt(k2 - 1)
+    off = np.full(radius, q)
+    off[0] = c * math.sqrt(k2)
+    phi = np.sin((radius + 1 - np.arange(radius + 1)) * lo)
+    phi[0] = off[0] * phi[1] / (2 * q * math.cos(lo))
+    t_phi = np.zeros(radius + 1)
+    t_phi[:-1] += off * phi[1:]
+    t_phi[1:] += off * phi[:-1]
+    lower = float(phi @ t_phi / (phi @ phi))
+    cw = float(np.max(t_phi / phi))
+    upper = cw + ROUNDING_ULPS * float(np.finfo(float).eps) * max(cw, 1.0)
+    return NormBracket(min(lower, upper), upper, "truncation",
+                       "collatz-wielandt")
+
+
 def _truncation_bracket(x: GroupAlgebraElement, radius: int, ball_cap: int,
                         tol_rel: float) -> NormBracket:
     """Bracket for the norm of the compression of x to the ball of the
-    given radius.  An unconverged solve yields its bracket, with converged
-    False: the Rayleigh lower endpoint is still certified."""
+    given radius: the radial reduction for a positive multiple of the
+    generator sum in rank >= 2, Lanczos on the ball otherwise.  The cap
+    bounds the points the chosen path stores.  An unconverged solve yields
+    its bracket, with converged False: the Rayleigh lower endpoint is
+    still certified."""
+    c = _radial_scale(x)
+    if c is not None:
+        return _radial_bracket(c, x.rank, radius, ball_cap)
     bi = BallIndex(x.rank, radius, cap=ball_cap)
     dtype = _fiber_dtype(x.coeffs)
     x_star = x.adjoint()

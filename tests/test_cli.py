@@ -134,6 +134,27 @@ def test_gap_reports_unconverged_infinity(cache, tmp_path,
     assert float(results["infinity_lower"]) <= 2 * math.cos(math.pi / 62)
 
 
+def test_gap_radial_truncation_past_the_ball_cap(cache, tmp_path):
+    # the radius-14 ball has 9,565,937 words, over the default cap of
+    # 5,000,000; the generator sum's radial solve stores 15 points
+    out = tmp_path / "gap.csv"
+    code = run(["gap", "--family", "fd", "--n-max", "2", "--radius", "14"],
+               cache, out)
+    assert code == 0
+    _, _, results = parse_report(out.read_text())
+    assert 3.3875757 < float(results["infinity_lower"]) < 2 * math.sqrt(3)
+    assert results["infinity_converged"] == "true"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--element", element_json([("a", 1), ("A", 1), ("b", 2), ("B", 2)], 2)],
+    ["--ball-cap", "10"],
+], ids=["non-radial", "radial-over-cap"])
+def test_gap_ball_cap_counts_stored_points(cache, extra):
+    assert run(["gap", "--family", "fd", "--n-max", "2", "--radius", "14"]
+               + extra, cache) == 3
+
+
 def test_gap_rejects_non_self_adjoint(cache):
     elem = element_json([(Word((1,), 2), 1)], 2)
     code = run(["gap", "--family", "fd", "--n-max", "2",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlslab.balls import BallIndex
 from hlslab.errors import (DegenerateCertificateError, InputError,
                            ResourceError)
 from hlslab.exact import RationalComplex
@@ -20,7 +21,8 @@ from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              markov_element, quasi_regular_norm,
                              reduced_norm_estimate, restrict_to_infinity,
                              rho_dense, rho_norm, standard_lift,
-                             tau_spectral_gap, truncation_lower_bound)
+                             tau_spectral_gap, truncation_lower_bound,
+                             _truncation_bracket)
 from hlslab.words import GroupAlgebraElement, Word, ball
 
 
@@ -352,10 +354,12 @@ def test_star_algebra_axioms_fiberwise(fd, x, y, z):
 
 def test_truncation_monotone_in_radius():
     x = gen_sum()
-    vals = [truncation_lower_bound(x, r) for r in (1, 2, 4, 6)]
+    vals = [truncation_lower_bound(x, r)
+            for r in (1, 2, 4, 6, 10, 10**2, 10**3, 10**5)]
     for a, b in zip(vals, vals[1:]):
-        assert b + 1e-9 >= a
+        assert b >= a
     assert all(v <= x.l1_norm() + 1e-9 for v in vals)
+    assert vals[-1] < 2 * math.sqrt(3)
 
 
 def _dense_compression(x, radius):
@@ -372,6 +376,11 @@ def _dense_compression(x, radius):
     return m
 
 
+def _dense_truncation_norm(x, radius):
+    m = _dense_compression(x, radius)
+    return math.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0))
+
+
 @pytest.mark.parametrize("rank,radius", [(2, 3), (3, 2)])
 def test_complex_truncation_matches_dense_compression(rank, radius):
     rng = random.Random(17)
@@ -381,8 +390,7 @@ def test_complex_truncation_matches_dense_compression(rank, radius):
                                              rng.uniform(-2, 2)))
                  for _ in range(4)]
         x = GroupAlgebraElement.from_pairs(pairs, rank)
-        m = _dense_compression(x, radius)
-        expected = math.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+        expected = _dense_truncation_norm(x, radius)
         got = truncation_lower_bound(x, radius)
         assert abs(got - expected) < 1e-9 * expected
         assert got <= expected + 1e-12
@@ -397,6 +405,72 @@ def test_unconverged_truncation_is_reported(one_short_restart):
     assert isinstance(lower, float)
     assert lower == br.lower
     assert lower <= 2 * math.cos(math.pi / 62)
+
+
+# rank 3 stops at radius 4: the dense matrix of its radius-5 ball (4,687
+# words) takes 350 MB, of its radius-6 ball (23,437 words) 8.8 GB
+@pytest.mark.parametrize("rank,radius", [(2, r) for r in range(7)]
+                         + [(3, r) for r in range(5)])
+@pytest.mark.parametrize("scale", [1, "markov", 2.5])
+def test_radial_truncation_matches_dense_compression(rank, radius, scale):
+    x = (markov_element(rank) if scale == "markov"
+         else gen_sum(rank).scale(scale))
+    # the compression is real symmetric: its norm is its largest |eigenvalue|
+    m = _dense_compression(x, radius).real
+    dense = np.abs(np.linalg.eigvalsh(m)).max()
+    br = _truncation_bracket(x, radius, 5_000_000, 1e-9)
+    assert abs(br.lower - dense) <= 1e-12
+    assert br.lower <= br.upper
+    assert dense <= br.upper
+    assert br.converged
+    assert (br.lower_provenance, br.upper_provenance) == (
+        "truncation", "collatz-wielandt")
+
+
+def test_radial_truncation_radius_12():
+    assert truncation_lower_bound(gen_sum(), 12) == pytest.approx(
+        3.387575719275113, abs=1e-12)
+
+
+def test_radial_truncation_checks_its_cap():
+    # r + 1 points are stored, not the ball's words
+    assert _truncation_bracket(gen_sum(), 14, 15, 1e-9).lower > 3.4
+    with pytest.raises(ResourceError):
+        _truncation_bracket(gen_sum(), 14, 14, 1e-9)
+
+
+@pytest.fixture()
+def balls_built(monkeypatch):
+    built = []
+    init = BallIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BallIndex, "__init__", counting)
+    return built
+
+
+def test_generator_sum_builds_no_ball(balls_built):
+    truncation_lower_bound(gen_sum(), 4)
+    truncation_lower_bound(markov_element(3), 4)
+    assert balls_built == []
+
+
+@pytest.mark.parametrize("x", [
+    GroupAlgebraElement.from_pairs([("a", 1), ("A", 1)], rank=1),
+    gen_sum().scale(-1),
+    gen_sum() + GroupAlgebraElement.from_pairs([("a", 1)]),
+    gen_sum() + GroupAlgebraElement.delta(Word.identity(2)),
+], ids=["rank-1", "negated", "one-doubled", "plus-identity"])
+def test_other_elements_keep_the_ball_solve(balls_built, x):
+    radius = 6 if x.rank == 1 else 3
+    got = truncation_lower_bound(x, radius)
+    assert len(balls_built) == 1
+    expected = _dense_truncation_norm(x, radius)
+    assert abs(got - expected) < 1e-9 * expected
+    assert got <= expected + 1e-12
 
 
 def test_trivial_bound_for_nonnegative_element(gfd):
