@@ -6,6 +6,8 @@ composition is (p @ q)(i) = p[q[i]].
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 
@@ -23,43 +25,70 @@ def invert(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def perm_key(p: np.ndarray) -> bytes:
-    return p.tobytes()
-
-
 def is_identity(p: np.ndarray) -> bool:
     return bool(np.array_equal(p, np.arange(len(p), dtype=p.dtype)))
 
 
-def bfs_order(gens: list[np.ndarray],
-              cap: int | None = None) -> dict[bytes, int] | None:
-    """Breadth-first closure of <gens>: perm_key -> index in discovery
-    order, right-multiplying by g1, g1^-1, g2, g2^-1, ... in turn.
+def bfs_order(gens: list[np.ndarray], cap: int | None = None):
+    """Breadth-first closure of <gens>, right-multiplying by g1, g1^-1,
+    g2, g2^-1, ... in turn, so the identity gets index 0.
 
-    Returns None if the group has more than cap elements.  Generators need
+    Returns (table, parent, letter), or None if the group has more than
+    cap elements.  table is the right Cayley table, order x 2k int32:
+    table[i, c] is the index of element_i * (letter c), where letter c is
+    the c-th of g1, g1^-1, g2, g2^-1, ..., so column c ^ 1 holds the
+    inverse letter.  The BFS tree has element_i = element_parent[i] *
+    (letter letter[i]) for i > 0; parent never decreases.  Generators need
     not include inverses (the group is finite).
     """
     degree = len(gens[0])
-    ident = identity_perm(degree)
-    all_gens = []
+    letters = []
     for g in gens:
-        all_gens.append(np.asarray(g, dtype=np.int32))
-        all_gens.append(invert(all_gens[-1]))
-    seen = {perm_key(ident): 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in all_gens:
-                h = compose(g, s)
-                k = perm_key(h)
-                if k not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        return None
-                    seen[k] = len(seen)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+        letters.append(np.asarray(g, dtype=np.int32))
+        letters.append(invert(letters[-1]))
+    letters = np.stack(letters)
+    width = letters.itemsize * degree
+    found = [identity_perm(degree).tobytes()]
+    seen = {found[0]: 0}
+    table = array("i")
+    parent = array("i", [0])
+    letter = array("b", [0])
+    i = 0
+    while i < len(found):
+        # row c is element_i * (letter c); its bytes are the element's key
+        keys = np.frombuffer(found[i], dtype=np.int32)[letters].tobytes()
+        for c in range(len(letters)):
+            k = keys[c * width:(c + 1) * width]
+            j = seen.get(k)
+            if j is None:
+                if cap is not None and len(seen) >= cap:
+                    return None
+                j = seen[k] = len(found)
+                found.append(k)
+                parent.append(i)
+                letter.append(c)
+            table.append(j)
+        i += 1
+    return (np.frombuffer(table, dtype=np.int32).reshape(i, len(letters)),
+            np.frombuffer(parent, dtype=np.int32),
+            np.frombuffer(letter, dtype=np.int8))
+
+
+def propagate(table: np.ndarray, parent: np.ndarray, letter: np.ndarray,
+              start: int) -> np.ndarray:
+    """out[i] = table-index of x * element_i, where x has index start and
+    element_i runs over a BFS tree (parent, letter) of the same letters:
+    x * element_i = (x * element_parent[i]) * (letter letter[i]), so each
+    BFS layer is one gather through the right Cayley table.  out is an
+    intp array, so gathers through it need no index conversion."""
+    out = np.empty(len(parent), dtype=np.intp)
+    out[0] = start
+    lo, hi = 0, 1
+    while hi < len(parent):
+        # the next layer: every element whose parent lies in [lo, hi)
+        lo, hi = hi, int(np.searchsorted(parent, hi))
+        out[lo:hi] = table[out[parent[lo:hi]], letter[lo:hi]]
+    return out
 
 
 def _orbit_transversal(beta: int, gens: list[np.ndarray], degree: int):

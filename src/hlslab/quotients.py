@@ -9,9 +9,10 @@ Three families are provided:
   [[1,0],[2,1]] in SL(2, Z/2^n), acting on (Z/2^n)^2.
 * ``cyclic`` (rank 1): Z/2^n with the generator mapping to 1.
 
-Each quotient is realized as a permutation group; its elements are indexed
-0..order-1 by Cayley-graph BFS from the identity in the fixed generator
-order (g1, g1^-1, g2, g2^-1, ...).
+Each quotient is given by one permutation per generator; its elements are
+indexed 0..order-1 by Cayley-graph BFS from the identity in the fixed
+generator order (g1, g1^-1, g2, g2^-1, ...), and it keeps the right Cayley
+table of that indexing and the BFS tree, not the permutations.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .perms import (bfs_order, compose, identity_perm, invert, perm_key,
-                    schreier_sims_order)
-from .words import GroupAlgebraElement, Word, ball
+from .perms import bfs_order, propagate, schreier_sims_order
+from .words import GroupAlgebraElement, Word, ball, letter_rank
 
 CACHE_FORMAT_VERSION = 1
 DEFAULT_FIBER_CAP = 2_000_000
@@ -45,9 +45,11 @@ SANOV_B = ((1, 0), (2, 1))
 class FiniteQuotient:
     """A finite quotient of F_k given by one permutation per generator.
 
-    Elements are enumerated by BFS over the Cayley graph (right
+    Elements are indexed by BFS over the Cayley graph (right
     multiplication by g1, g1^-1, g2, g2^-1, ... in that order), so the
-    identity has index 0 and indices are reproducible.
+    identity has index 0 and indices are reproducible.  The quotient keeps
+    only its right Cayley table and BFS tree (perms.bfs_order); every
+    group operation is a walk through the table.
     """
 
     def __init__(self, gen_perms: list[np.ndarray], rank: int,
@@ -60,50 +62,48 @@ class FiniteQuotient:
         for g in self.gen_perms:
             if len(g) != self.degree:
                 raise InputError("generator permutations have mixed degrees")
-        self._enumerate(cap)
+        closure = bfs_order(self.gen_perms, cap)
+        if closure is None:
+            raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
+        self.table, self.parent, self.letter = closure
+        self.order = len(self.table)
         self._left_tables: dict[int, np.ndarray] = {}
 
-    def _enumerate(self, cap):
-        index = bfs_order(self.gen_perms, cap)
-        if index is None:
-            raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
-        self.index: dict[bytes, int] = index
-        # views of the index keys, so each permutation is stored once
-        self.elements = [np.frombuffer(k, dtype=np.int32) for k in index]
-        self.order = len(index)
-        self.inverse_index = np.array(
-            [index[perm_key(invert(p))] for p in self.elements],
-            dtype=np.int64)
-
     # -- group structure on element indices --------------------------------
-
-    def letter_perm(self, letter: int) -> np.ndarray:
-        g = self.gen_perms[abs(letter) - 1]
-        return g if letter > 0 else invert(g)
 
     def evaluate(self, w: Word) -> int:
         """Index of the image of w under the quotient map."""
         if w.rank != self.rank:
             raise InputError("word rank does not match quotient rank")
-        p = identity_perm(self.degree)
+        i = 0
         for letter in w.letters:
-            p = compose(p, self.letter_perm(letter))
-        return self.index[perm_key(p)]
+            i = self.table.item(i, letter_rank(letter))
+        return i
 
     def multiply(self, i: int, j: int) -> int:
-        return self.index[perm_key(compose(self.elements[i], self.elements[j]))]
+        """Index of element_i * element_j: j's tree word walked from i."""
+        word = []
+        while j:
+            word.append(self.letter.item(j))
+            j = self.parent.item(j)
+        for c in reversed(word):
+            i = self.table.item(i, c)
+        return i
 
     def invert_element(self, i: int) -> int:
-        return int(self.inverse_index[i])
+        """Index of element_i^-1: i's tree word, reversed and with every
+        letter inverted, walked from the identity."""
+        k = 0
+        while i:
+            k = self.table.item(k, self.letter.item(i) ^ 1)
+            i = self.parent.item(i)
+        return k
 
     def left_mult_table(self, t: int) -> np.ndarray:
         """arr[v] = index of element_t * element_v, for all v."""
         tbl = self._left_tables.get(t)
         if tbl is None:
-            pt = self.elements[t]
-            tbl = np.empty(self.order, dtype=np.int64)
-            for v, pv in enumerate(self.elements):
-                tbl[v] = self.index[perm_key(compose(pt, pv))]
+            tbl = propagate(self.table, self.parent, self.letter, t)
             self._left_tables[t] = tbl
         return tbl
 
@@ -148,15 +148,15 @@ class FiniteQuotient:
 def kernel_refines(p: FiniteQuotient, q: FiniteQuotient) -> bool:
     """True iff ker(pi_p) <= ker(pi_q).
 
-    The subgroup of im(p) x im(q) generated by the paired generator images
-    projects onto im(p); the projection is injective exactly when
-    ker p <= ker q, i.e. when the paired image has order |im p|.
+    phi sends each element of p to the image in q of its BFS-tree word.
+    The inclusion holds exactly when phi is a well-defined homomorphism,
+    i.e. when it commutes with right multiplication by every letter:
+    phi[R_p] == R_q[phi] for the right Cayley tables R.
     """
     if p.rank != q.rank:
         raise InputError("rank mismatch in kernel_refines")
-    paired = [np.concatenate([gp, gq + p.degree]).astype(np.int32)
-              for gp, gq in zip(p.gen_perms, q.gen_perms)]
-    return bfs_order(paired, cap=p.order) is not None
+    phi = propagate(q.table, p.parent, p.letter, 0)
+    return bool(np.array_equal(phi[p.table], q.table[phi]))
 
 
 # -- Lubotzky-Shalom FD kernel enumeration ---------------------------------

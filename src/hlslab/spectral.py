@@ -210,31 +210,3 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
             bracket=bracket)
     return bracket
 
-
-def symmetric_top_eigenvalue(apply_m, dim: int, project=None,
-                             dtype=np.float64,
-                             tol: float = 1e-11) -> float:
-    """Largest (signed) eigenvalue of a self-adjoint operator, optionally
-    restricted to a subspace via an orthogonal projection callable."""
-    if dim == 1:
-        if project is not None:
-            return 0.0
-        return float(np.real(apply_m(np.ones(1, dtype=dtype))[0]))
-
-    def op(x):
-        if project is not None:
-            x = project(x)
-        y = apply_m(x)
-        if project is not None:
-            y = project(y)
-        return y
-
-    best = -np.inf
-    for start in _starts(dim, dtype):
-        if project is not None:
-            start = project(start)
-        if np.linalg.norm(start) < 1e-300:
-            continue
-        theta, _res, _conv = lanczos_extreme(op, dim, start, tol, dtype)
-        best = max(best, theta)
-    return float(best)

@@ -3,30 +3,59 @@ import pytest
 
 from hlslab.balls import BallIndex
 from hlslab.errors import ResourceError
-from hlslab.words import Word, ball
+from hlslab.words import Word, ball, letter_rank, letters_in_order
+
+
+def shortlex_index(radius, rank):
+    return {w: i for i, w in enumerate(ball(radius, rank))}
 
 
 @pytest.mark.parametrize("rank,radius", [(1, 6), (2, 5), (3, 3)])
 def test_index_matches_shortlex_enumeration(rank, radius):
     bi = BallIndex(rank, radius)
     words = ball(radius, rank)
+    index = shortlex_index(radius, rank)
+    ranked = sorted(letters_in_order(rank), key=letter_rank)
     assert bi.size == len(words)
     for i, w in enumerate(words):
-        assert bi.word_to_index(w) == i
-        assert bi.word_at(i) == w
+        # the word's index, walked through the table from the identity
+        j = 0
+        for letter in w.letters:
+            j = bi.table[j, letter_rank(letter)]
+        assert j == index[w] == i
+        # the word at index i, read back along the BFS tree
+        letters = []
+        while j:
+            letters.append(bi.letter[j])
+            j = bi.parent[j]
+        assert Word(tuple(ranked[c] for c in reversed(letters)), rank) == w
+
+
+@pytest.mark.parametrize("rank,radius", [(1, 6), (2, 4), (3, 3)])
+def test_right_table_matches_shortlex_dict(rank, radius):
+    bi = BallIndex(rank, radius)
+    index = shortlex_index(radius, rank)
+    ranked = sorted(letters_in_order(rank), key=letter_rank)
+    assert bi.table.shape == (bi.size + 1, 2 * rank)
+    for w, i in index.items():
+        for c, letter in enumerate(ranked):
+            product = w * Word((letter,), rank)
+            assert bi.table[i, c] == index.get(product, bi.size)
+    assert (bi.table[bi.size] == bi.size).all()  # the sentinel row
 
 
 @pytest.mark.parametrize("rank,radius", [(1, 5), (2, 4)])
 def test_letter_moves_against_direct_multiplication(rank, radius):
     bi = BallIndex(rank, radius)
     words = ball(radius, rank)
+    index = shortlex_index(radius, rank)
     for g in range(1, rank + 1):
         for letter in (g, -g):
             move = bi.letter_move(letter)
             for i, w in enumerate(words):
                 product = Word((letter,), rank) * w
-                expected = (bi.word_to_index(product)
-                            if len(product) <= radius else -1)
+                expected = (index[product]
+                            if len(product) <= radius else bi.size)
                 assert move[i] == expected
 
 
@@ -34,7 +63,7 @@ def test_moves_are_injective_where_defined():
     bi = BallIndex(2, 6)
     for letter in (1, -1, 2, -2):
         move = bi.letter_move(letter)
-        defined = move[move >= 0]
+        defined = move[move < bi.size]
         assert len(np.unique(defined)) == len(defined)
 
 
@@ -47,11 +76,11 @@ def test_apply_word_move_matches_single_letters():
     # compose by hand: b first, then a
     step = np.zeros_like(v)
     mb = bi.letter_move(2)
-    ok = mb >= 0
+    ok = mb < bi.size
     step[mb[ok]] = v[ok]
     out2 = np.zeros_like(v)
     ma = bi.letter_move(1)
-    ok = ma >= 0
+    ok = ma < bi.size
     out2[ma[ok]] = step[ok]
     assert np.allclose(out, out2)
 
@@ -67,7 +96,7 @@ def _scatter_letters(bi, w, vec):
     for letter in reversed(w.letters):
         move = bi.letter_move(letter)
         nxt = np.zeros_like(out)
-        ok = move >= 0
+        ok = move < bi.size
         nxt[move[ok]] = out[ok]
         out = nxt
     return out
@@ -77,6 +106,7 @@ def _scatter_letters(bi, w, vec):
 @pytest.mark.parametrize("pad", [0, 3])
 def test_word_move_matches_letter_composition(rank, radius, pad):
     bi = BallIndex(rank, radius + pad)
+    index = shortlex_index(radius + pad, rank)
     rng = np.random.default_rng(11)
     vec = rng.standard_normal(bi.size)  # nonzero up to the boundary
     for w in ball(3, rank):
@@ -90,5 +120,5 @@ def test_word_move_matches_letter_composition(rank, radius, pad):
             # no intermediate product leaves the padded ball: the gather
             # is exact left multiplication on the inner ball
             for j, u in enumerate(ball(radius, rank)):
-                assert table[bi.word_to_index(w * u)] == j
+                assert table[index[w * u]] == j
 

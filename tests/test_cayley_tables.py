@@ -1,0 +1,138 @@
+"""Independent oracles for the right Cayley tables of the quotients.
+
+Everything here is checked against plain permutation arithmetic written
+in this file: numpy fancy indexing for composition, argsort for inverses,
+and a FIFO closure over permutation bytes for the indexing.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from hlslab.errors import ResourceError
+from hlslab.quotients import (FiniteQuotient, _class_reps,
+                              enumerate_kernel_reps, kernel_refines)
+from hlslab.words import ball, letter_rank
+
+
+def letter_perms(gens):
+    """Permutations of the letters in rank order: g1, g1^-1, g2, ..."""
+    return [p for g in gens for p in (g, np.argsort(g).astype(g.dtype))]
+
+
+def fifo_closure(gens):
+    """Index of every element of <gens> (permutation bytes -> index), in
+    FIFO discovery order by right multiplication with the letters in rank
+    order.  Composition (p q)(i) = p[q[i]]."""
+    letters = letter_perms(gens)
+    elements = [np.arange(len(gens[0]), dtype=np.int32)]
+    index = {elements[0].tobytes(): 0}
+    for g in elements:  # grows while it is walked
+        for s in letters:
+            h = g[s]
+            if h.tobytes() not in index:
+                index[h.tobytes()] = len(elements)
+                elements.append(h)
+    return index
+
+
+def tree_perms(q):
+    """Each element's permutation, rebuilt along the BFS tree."""
+    letters = letter_perms(q.gen_perms)
+    perms = [np.arange(q.degree, dtype=np.int32)]
+    for i in range(1, q.order):
+        assert q.parent[i] < i
+        perms.append(perms[q.parent[i]][letters[q.letter[i]]])
+    return perms
+
+
+def paired_refines(p, q):
+    """ker p <= ker q iff the paired generator images (g_p, g_q) generate
+    a subgroup of im p x im q of order |im p|: it projects onto im p,
+    injectively exactly when the kernels nest."""
+    paired = [np.concatenate([gp, gq + p.degree]).astype(np.int32)
+              for gp, gq in zip(p.gen_perms, q.gen_perms)]
+    return len(fifo_closure(paired)) == p.order
+
+
+FAMILY_LEVELS = [("fd", n) for n in range(1, 5)] + \
+    [("congruence", n) for n in range(1, 5)] + \
+    [("cyclic", n) for n in range(1, 7)]
+
+
+@pytest.fixture()
+def towers(fd, congruence, cyclic):
+    return {"fd": fd, "congruence": congruence, "cyclic": cyclic}
+
+
+@pytest.mark.parametrize("family,n", FAMILY_LEVELS)
+def test_table_is_right_multiplication_of_tree_perms(towers, family, n):
+    q = towers[family].quotient(n)
+    perms = tree_perms(q)
+    assert len({p.tobytes() for p in perms}) == q.order
+    letters = letter_perms(q.gen_perms)
+    assert q.table.shape == (q.order, 2 * q.rank)
+    for i, p in enumerate(perms):
+        for c, s in enumerate(letters):
+            assert np.array_equal(perms[q.table[i, c]], p[s])
+
+
+@pytest.mark.parametrize("family,n", FAMILY_LEVELS)
+def test_evaluate_matches_fifo_closure(towers, family, n):
+    q = towers[family].quotient(n)
+    index = fifo_closure(q.gen_perms)
+    assert len(index) == q.order
+    letters = letter_perms(q.gen_perms)
+    for w in ball(4, q.rank):
+        p = np.arange(q.degree, dtype=np.int32)
+        for letter in w.letters:
+            p = p[letters[letter_rank(letter)]]
+        assert q.evaluate(w) == index[p.tobytes()]
+
+
+@pytest.mark.parametrize("family", ["fd", "congruence"])
+def test_group_operations_match_permutations(towers, family):
+    q = towers[family].quotient(3)
+    perms = tree_perms(q)
+    index = {p.tobytes(): i for i, p in enumerate(perms)}
+    for i, p in enumerate(perms):
+        assert q.invert_element(i) == index[np.argsort(p).astype(
+            np.int32).tobytes()]
+        table = q.left_mult_table(i)
+        for j, r in enumerate(perms):
+            k = index[p[r].tobytes()]
+            assert q.multiply(i, j) == k
+            assert table[j] == k
+
+
+def test_kernel_refines_matches_paired_closure_on_enumeration():
+    outcomes = set()
+    for n in range(1, 5):
+        reps = enumerate_kernel_reps(n)
+        for sigma in _class_reps(n):
+            for tau in itertools.permutations(range(n)):
+                try:
+                    cand = FiniteQuotient(
+                        [sigma, np.array(tau, dtype=np.int32)], rank=2,
+                        cap=n)
+                except ResourceError:
+                    continue
+                for r in reps:
+                    for p, q in ((cand, r), (r, cand)):
+                        got = kernel_refines(p, q)
+                        assert got == paired_refines(p, q)
+                        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_kernel_refines_matches_paired_closure_on_nesting(towers):
+    outcomes = set()
+    for family, top in (("fd", 4), ("congruence", 5), ("cyclic", 8)):
+        levels = [towers[family].quotient(n) for n in range(1, top + 1)]
+        for small, big in zip(levels, levels[1:]):
+            for p, q in ((big, small), (small, big)):
+                got = kernel_refines(p, q)
+                assert got == paired_refines(p, q)
+                outcomes.add(got)
+    assert outcomes == {True, False}
