@@ -1,4 +1,4 @@
-"""Certified operator norm brackets via restarted Lanczos iteration.
+"""Certified operator norm brackets via thick-restart Lanczos iteration.
 
 The engine never reports bare point values: every norm comes back as a
 NormBracket [lower, upper] with provenance on both endpoints.  Lower
@@ -56,55 +56,52 @@ class NormBracket:
                            lo.lower_provenance, hi.upper_provenance)
 
 
-def _ritz_top(alphas, betas, V):
-    k = len(alphas)
-    T = np.diag(alphas)
-    if k > 1:
-        off = np.array(betas[: k - 1])
-        T += np.diag(off, 1) + np.diag(off, -1)
-    evals, evecs = np.linalg.eigh(T)
-    s = evecs[:, -1]
-    theta = float(evals[-1])
-    y = s @ V[:k]
-    return theta, y, s
+def _ritz_top(T, k):
+    """Eigenpairs of the projected matrix T[:k, :k], in ascending order;
+    the last pair is the top Ritz pair."""
+    return np.linalg.eigh(T[:k, :k])
 
 
 def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
                     tol: float, dtype=np.float64,
                     max_basis: int = MAX_BASIS,
                     max_restarts: int = MAX_RESTARTS):
-    """Largest eigenvalue of a self-adjoint operator by restarted Lanczos
-    with full reorthogonalization.
+    """Largest eigenvalue of a self-adjoint operator by thick-restart
+    Lanczos with full reorthogonalization.
 
-    Returns (theta, residual, converged) where theta is the Rayleigh
-    quotient of the returned Ritz vector (a certified lower bound) and
-    residual = ||A y - theta y||.
+    A cycle that ends unconverged keeps its top max(1, m // 4) Ritz
+    vectors and the residual direction, so the projected matrix T of the
+    next cycle starts as diag(Ritz values) with an arrow row and column
+    (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  Returns
+    (theta, residual, converged) where theta is the Rayleigh quotient of
+    the top Ritz vector y (a certified lower bound) and residual =
+    ||A y - theta y||.
     """
     v = np.asarray(start, dtype=dtype)
     nv = np.linalg.norm(v)
     if nv == 0:
         return 0.0, 0.0, True
-    v = v / nv
     complex_basis = np.issubdtype(dtype, np.complexfloating)
     check_every = 8
     breakdown_ulp = ROUNDING_ULPS * np.finfo(float).eps
     best = (-np.inf, np.inf)
     m = min(max_basis, dim)
+    keep = min(max(1, m // 4), m - 1)
     # Krylov basis as contiguous rows, shared by every restart
     V = np.empty((m, dim), dtype=dtype)
+    T = np.zeros((m, m))
+    np.divide(v, nv, out=V[0])
+    first = 0  # rows kept from the previous cycle
     for _ in range(max_restarts):
-        alphas: list[float] = []
-        betas: list[float] = []
-        V[0] = v
-        breakdown = False
-        y = None
-        for j in range(m):
+        for j in range(first, m):
             w = apply_op(V[j])
             alpha = float(np.real(np.vdot(V[j], w)))
-            alphas.append(alpha)
+            T[j, j] = alpha
             w = w - alpha * V[j]  # a copy: never update the operator's output
-            if j > 0:
-                w -= betas[-1] * V[j - 1]
+            if j > first:
+                w -= T[j - 1, j] * V[j - 1]
+            elif first:
+                w -= T[:first, j] @ V[:first]  # the arrow of a restart
             # full reorthogonalization, two passes
             active = V[: j + 1]
             for _pass in range(2):
@@ -114,23 +111,29 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
                     coeffs = active @ w
                 w -= coeffs @ active
             beta = float(np.linalg.norm(w))
-            betas.append(beta)
             # rounding leaves a residual of a few ulps of the largest
-            # |alpha| seen; below that the Krylov space is exhausted
-            if beta <= breakdown_ulp * max(1.0, max(map(abs, alphas))):
-                breakdown = True
-            elif j + 1 < m:
+            # |T[i, i]|; below that the Krylov space is exhausted
+            breakdown = beta <= breakdown_ulp * max(
+                1.0, float(np.abs(np.diagonal(T)).max()))
+            if not breakdown and j + 1 < m:
                 np.divide(w, beta, out=V[j + 1])
+                T[j, j + 1] = T[j + 1, j] = beta
             if breakdown or (j + 1) % check_every == 0 or j + 1 == m:
-                theta, y, s = _ritz_top(alphas, betas[:-1], V)
-                residual = abs(betas[-1] * s[-1])
+                evals, evecs = _ritz_top(T, j + 1)
+                theta = float(evals[-1])
+                residual = abs(beta * evecs[-1, -1])
                 if theta > best[0]:
                     best = (theta, residual)
-                if residual <= tol or breakdown or len(alphas) >= dim:
+                if residual <= tol or breakdown or j + 1 >= dim:
                     return best[0], residual, True
-            if breakdown:
-                break
-        v = y / np.linalg.norm(y)
+        # thick restart: the top Ritz vectors, then the residual direction
+        top = evecs[:, m - keep:]
+        V[:keep] = top.T @ V
+        np.divide(w, beta, out=V[keep])
+        T[:] = 0.0
+        T[:keep, :keep] = np.diag(evals[m - keep:])
+        T[keep, :keep] = T[:keep, keep] = beta * top[-1]
+        first = keep
     return best[0], best[1], False
 
 

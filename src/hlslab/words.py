@@ -20,6 +20,11 @@ from .exact import RationalComplex, conj, is_exact
 DEFAULT_BALL_CAP = 5_000_000
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# character -> letter for each rank: a -> 1, A -> -1, b -> 2, ...
+_LETTER_CODES = [
+    {c: sign * (i + 1) for i, low in enumerate(_ALPHABET[:rank])
+     for c, sign in ((low, 1), (low.upper(), -1))}
+    for rank in range(len(_ALPHABET) + 1)]
 
 
 def letter_rank(letter: int) -> int:
@@ -60,6 +65,14 @@ class Word:
             if x == -y:
                 raise InputError(f"word {self.letters} is not freely reduced")
 
+    @classmethod
+    def _unchecked(cls, letters: tuple[int, ...], rank: int) -> "Word":
+        """A Word from letters already known to be valid and reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "rank", rank)
+        return w
+
     @staticmethod
     def identity(rank: int = 2) -> "Word":
         return Word((), rank)
@@ -68,7 +81,7 @@ class Word:
     def reduce(letters: Iterable[int], rank: int = 2) -> "Word":
         letters = tuple(letters)
         check_letters(letters, rank)
-        return Word(free_reduce(letters), rank)
+        return Word._unchecked(free_reduce(letters), rank)
 
     @staticmethod
     def generator(i: int, rank: int = 2) -> "Word":
@@ -80,10 +93,16 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise InputError("rank mismatch in word multiplication")
-        return Word(free_reduce(self.letters + other.letters), self.rank)
+        # both factors are reduced, so letters cancel only at the junction
+        a, b = self.letters, other.letters
+        cut, most = 0, min(len(a), len(b))
+        while cut < most and a[-1 - cut] == -b[cut]:
+            cut += 1
+        return Word._unchecked(a[:len(a) - cut] + b[cut:], self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), self.rank)
+        return Word._unchecked(tuple(-l for l in reversed(self.letters)),
+                               self.rank)
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
@@ -112,14 +131,14 @@ class Word:
         s = s.strip()
         if s in ("", "e"):
             return Word.identity(rank)
-        letters = []
-        for c in s:
-            low = c.lower()
-            if low not in _ALPHABET[:rank]:
-                raise InputError(f"letter {c!r} not valid for rank {rank}")
-            i = _ALPHABET.index(low) + 1
-            letters.append(i if c.islower() else -i)
-        return Word.reduce(letters, rank)
+        codes = _LETTER_CODES[max(0, min(rank, len(_ALPHABET)))]
+        try:
+            letters = [codes[c] for c in s]
+        except KeyError:
+            bad = next(c for c in s if c not in codes)
+            raise InputError(
+                f"letter {bad!r} not valid for rank {rank}") from None
+        return Word._unchecked(free_reduce(letters), rank)
 
 
 def ball_size(radius: int, rank: int) -> int:

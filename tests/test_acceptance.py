@@ -224,6 +224,15 @@ def test_criterion_6_amenable_control(cyclic):
            ok, f"sup={profile.sup_finite.lower:.8f} "
                f"inf=[{profile.infinity.lower:.8f},"
                f"{profile.infinity.upper:.8f}]")
+    # the ball is the path on 6,401 words: its top eigenvalue is
+    # 2 cos(pi/6402), and the solve behind it must have converged
+    path_top = 2 * math.cos(math.pi / 6402)
+    report("criterion 6: the radius-3200 truncation converged to the path "
+           "eigenvalue within 1e-12",
+           profile.infinity.converged
+           and abs(profile.infinity.lower - path_top) < 1e-12,
+           f"converged={profile.infinity.converged} "
+           f"lower-path={profile.infinity.lower - path_top:.3e}")
 
 
 # -- 7: block-diagonal norm identity ----------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hlslab import spectral
 from hlslab.spectral import ROUNDING_ULPS, lanczos_extreme
 
 
@@ -75,3 +76,82 @@ def test_lanczos_stops_on_an_exhausted_krylov_space(scale):
     assert calls[0] == 2
     assert theta == pytest.approx(scale, rel=1e-12)
     assert residual <= ROUNDING_ULPS * np.finfo(float).eps * scale
+
+
+def _ritz_log(monkeypatch, apply):
+    """Wraps apply and spectral._ritz_top so that every Ritz check records
+    (k, theta, y) with y the top Ritz vector evecs[:, -1] @ V[:k]; the
+    basis V is read off the rows the solver passes to apply, which are
+    views of it."""
+    basis, log = [], []
+
+    def seen_apply(x):
+        if not basis:
+            assert x.base is not None and x.base.ndim == 2
+            basis.append(x.base)
+        return apply(x)
+
+    def ritz_top(T, k):
+        evals, evecs = solver_ritz_top(T, k)
+        log.append((k, float(evals[-1]), evecs[:, -1] @ basis[0][:k]))
+        return evals, evecs
+
+    solver_ritz_top = spectral._ritz_top
+    monkeypatch.setattr(spectral, "_ritz_top", ritz_top)
+    return seen_apply, log
+
+
+def _clustered(dim, dtype, seed):
+    """Hermitian matrix whose top eigenvalue 1.02 sits close over [0, 1],
+    so a 10-vector basis needs several restarts."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim))
+    if np.issubdtype(dtype, np.complexfloating):
+        z = z + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    evals = np.concatenate([np.linspace(0.0, 1.0, dim - 1), [1.02]])
+    return (q * evals) @ q.conj().T
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_thick_restart_residual_is_the_ritz_vectors(monkeypatch, dtype):
+    dim, basis = 150, 10
+    a = _clustered(dim, dtype, seed=11)
+    apply, log = _ritz_log(monkeypatch, lambda x: a @ x)
+    start = np.random.default_rng(3).standard_normal(dim).astype(dtype)
+    theta, residual, converged = lanczos_extreme(
+        apply, dim, start, tol=1e-9, dtype=dtype, max_basis=basis)
+    assert converged
+    assert sum(k == basis for k, _, _ in log[:-1]) >= 3  # restarts
+    k, last_theta, y = log[-1]
+    assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+    assert theta == last_theta
+    assert abs(np.vdot(y, a @ y).real - theta) < 1e-12
+    assert abs(np.linalg.norm(a @ y - theta * y) - residual) < 1e-12
+    assert abs(theta - np.linalg.eigvalsh(a)[-1]) < 1e-9
+
+
+def test_thick_restart_converges_on_the_squared_path():
+    # A^2 for the path on 1,601 vertices: top eigenvalue 4 cos^2(pi/1602)
+    # with a relative gap near 1e-5; the single-vector restart needed 4,472
+    # matvecs from this start
+    dim = 1601
+
+    def path(x):
+        y = np.zeros_like(x)
+        y[1:] += x[:-1]
+        y[:-1] += x[1:]
+        return y
+
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        return path(path(x))
+
+    start = next(spectral._starts(dim, np.float64))
+    theta, residual, converged = lanczos_extreme(apply, dim, start, tol=4e-10)
+    assert converged
+    assert residual <= 4e-10
+    assert abs(theta - 4 * np.cos(np.pi / (dim + 1)) ** 2) < 1e-12
+    assert calls[0] <= 4472 // 4

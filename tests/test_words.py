@@ -60,6 +60,54 @@ def test_rank_mismatch():
         Word((1,), 1) * Word((1,), 2)
 
 
+@st.composite
+def reduced_words(draw, rank):
+    letters = draw(st.lists(st.sampled_from(
+        [l for g in range(1, rank + 1) for l in (g, -g)]), max_size=40))
+    return Word.reduce(letters, rank)
+
+
+@st.composite
+def word_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    u = draw(reduced_words(rank))
+    if draw(st.booleans()):
+        # v starts with a stretch of u^-1, so the product cancels at the
+        # junction, fully when the stretch is all of u and the tail empty
+        cut = draw(st.integers(0, len(u)))
+        tail = draw(reduced_words(rank))
+        v = Word.reduce(u.inverse().letters[:cut] + tail.letters, rank)
+    else:
+        v = draw(reduced_words(rank))
+    return u, v
+
+
+@settings(max_examples=200)
+@given(word_pairs())
+def test_multiply_matches_reducing_the_concatenation(pair):
+    u, v = pair
+    want = Word.reduce(u.letters + v.letters, u.rank)
+    got = u * v
+    assert got == want and got.letters == want.letters
+    assert u.inverse() == Word.reduce(tuple(-l for l in reversed(u.letters)),
+                                      u.rank)
+    e = Word.identity(u.rank)
+    assert u * e == u and e * u == u and u * u.inverse() == e
+
+
+def test_parse_reduces_and_names_the_first_bad_letter():
+    assert Word.parse("aA") == Word.identity(2)
+    assert Word.parse("abBA") == Word.identity(2)
+    assert Word.parse(" aBbb ") == Word((1, 2), 2)
+    assert Word.parse("cC", rank=3) == Word.identity(3)
+    with pytest.raises(InputError, match=r"^letter 'c' not valid for rank 2$"):
+        Word.parse("abcxC")
+    with pytest.raises(InputError, match=r"^letter 'B' not valid for rank 1$"):
+        Word.parse("aB", rank=1)
+    with pytest.raises(InputError, match=r"^letter '1' not valid for rank 2$"):
+        Word.parse("a1")
+
+
 # -- ball enumeration ---------------------------------------------------------
 
 def test_ball_sizes():
