@@ -18,14 +18,14 @@ import numpy as np
 
 from .errors import ResourceError
 from .perms import propagate
-from .words import Word, ball_size, letter_rank
+from .words import DEFAULT_BALL_CAP, Word, ball_size, letter_rank
 
 
 class BallIndex:
     """Shortlex index and right Cayley table of the ball of a given radius
     in F_k."""
 
-    def __init__(self, rank: int, radius: int, cap: int = 5_000_000):
+    def __init__(self, rank: int, radius: int, cap: int = DEFAULT_BALL_CAP):
         self.rank = rank
         self.radius = radius
         self.size = ball_size(radius, rank)

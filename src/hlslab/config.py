@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import InputError
-from .quotients import FAMILIES, FAMILY_RANK
+from .quotients import (DEFAULT_FIBER_CAP, DEFAULT_HOM_LEVEL_CAP, FAMILIES,
+                         FAMILY_RANK)
+from .words import DEFAULT_BALL_CAP
 
 CACHE_ENV_VAR = "HLSLAB_CACHE"
 
@@ -31,9 +33,9 @@ class ExperimentConfig:
     radius: int = 12
     margin: float = 0.25
     epsilon: float = 0.05
-    fiber_cap: int = 2_000_000
-    ball_cap: int = 5_000_000
-    hom_level_cap: int = 6
+    fiber_cap: int = DEFAULT_FIBER_CAP
+    ball_cap: int = DEFAULT_BALL_CAP
+    hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
     element: str | None = None          # inline JSON or a file path
     kset: str | None = None             # JSON list of [level, word]
     out: str | None = None

@@ -230,17 +230,6 @@ def fiber_matvec(q: FiniteQuotient, coeffs: dict):
          for s, c in coeffs.items()], q.order, _fiber_dtype(coeffs))
 
 
-def rho_dense(q: FiniteQuotient, coeffs: dict, exact: bool = False):
-    """Dense matrix of the fiber representation: row g, column h, entry
-    f(g h^-1).  exact=True keeps coefficients as Python objects."""
-    dtype = object if exact else _fiber_dtype(coeffs)
-    m = np.zeros((q.order, q.order), dtype=dtype)
-    cols = np.arange(q.order)
-    for s, c in coeffs.items():
-        m[q.left_mult_table(s), cols] += _scalar(c, dtype)
-    return m
-
-
 def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
                        tol_rel: float = 1e-10) -> NormBracket:
     """Certified bracket for the operator norm of the fiber representation."""

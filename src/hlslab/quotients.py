@@ -13,6 +13,11 @@ Each quotient is given by one permutation per generator; its elements are
 indexed 0..order-1 by Cayley-graph BFS from the identity in the fixed
 generator order (g1, g1^-1, g2, g2^-1, ...), and it keeps the right Cayley
 table of that indexing and the BFS tree, not the permutations.
+
+Nesting and separation go through the same tables: kernel_refines is one
+propagation of a level's BFS tree through the level below, and
+check_separation is one propagation of a free-group ball's BFS tree
+through each level.
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .balls import BallIndex
 from .errors import InputError, ResourceError
 from .perms import bfs_order, propagate, schreier_sims_order
-from .words import GroupAlgebraElement, Word, ball, letter_rank
+from .words import GroupAlgebraElement, Word, ball_size, letter_rank
 
 CACHE_FORMAT_VERSION = 1
 DEFAULT_FIBER_CAP = 2_000_000
@@ -252,39 +257,6 @@ def _cyclic_quotient(n: int, fiber_cap: int) -> FiniteQuotient:
     return FiniteQuotient([gen], rank=1, cap=fiber_cap)
 
 
-@dataclass
-class NestingReport:
-    family: str
-    results: list[tuple[int, bool]]  # (n, quotient(n+1) refines quotient(n))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-    @property
-    def first_failure(self) -> int | None:
-        for n, ok in self.results:
-            if not ok:
-                return n
-        return None
-
-
-@dataclass
-class SeparationReport:
-    family: str
-    radius: int
-    depth: int
-    levels: dict[Word, int | None]  # minimal separating level, or None
-
-    @property
-    def all_separated(self) -> bool:
-        return all(v is not None for v in self.levels.values())
-
-    @property
-    def unseparated(self) -> list[Word]:
-        return [w for w, v in self.levels.items() if v is None]
-
-
 class ApproximatedGroup:
     """A free group with one of the three approximating sequences, with a
     persistent disk cache of constructed quotients."""
@@ -370,44 +342,43 @@ class ApproximatedGroup:
 
     # -- Definition-level checks ---------------------------------------------
 
-    def check_nesting(self, depth: int) -> NestingReport:
-        results = []
-        for n in range(1, depth):
-            ok = kernel_refines(self.quotient(n + 1), self.quotient(n))
-            results.append((n, ok))
-        return NestingReport(self.family, results)
+    def check_separation(self, radius: int, depth: int) -> list[int]:
+        """Separation radius of each level 1..depth: the largest r <= radius
+        such that every nontrivial word of length <= r maps to a
+        nontrivial element at that level or an earlier one.
 
-    def check_separation(self, radius: int, depth: int) -> SeparationReport:
-        quotients = [self.quotient(n) for n in range(1, depth + 1)]
-        levels: dict[Word, int | None] = {}
-        for w in ball(radius, self.rank):
-            if w.is_identity():
-                continue
-            found = None
-            for n, q in enumerate(quotients, start=1):
-                if q.evaluate(w) != 0:
-                    found = n
-                    break
-            levels[w] = found
-        return SeparationReport(self.family, radius, depth, levels)
+        The ball's BFS tree is propagated through each level's right
+        table, giving every ball word's image at once; the ball is in
+        shortlex order, so the first word still unseparated is a shortest
+        one.
+        """
+        bi = BallIndex(self.rank, radius)
+        layer_ends = [ball_size(r, self.rank) for r in range(radius + 1)]
+        # the slot past the ball stands for the first word outside it
+        unseparated = np.ones(bi.size + 1, dtype=bool)
+        unseparated[0] = False  # the identity word
+        radii = []
+        for n in range(1, depth + 1):
+            q = self.quotient(n)
+            unseparated[:-1] &= propagate(q.table, bi.parent, bi.letter,
+                                          0) == 0
+            first = int(np.argmax(unseparated))
+            radii.append(int(np.searchsorted(layer_ends, first,
+                                             side="right")) - 1)
+        return radii
 
     def separation_level(self, words: list[Word], depth_cap: int = 20) -> int:
         """Minimal N with pi_N injective on the given set of words."""
-        diffs = []
-        for i, u in enumerate(words):
-            for v in words[i + 1:]:
-                d = u * v.inverse()
-                if d.is_identity():
-                    raise InputError("duplicate words in separation query")
-                diffs.append(d)
-        if not diffs:
+        if len(set(words)) < len(words):
+            raise InputError("duplicate words in separation query")
+        if len(words) < 2:
             return 1
         for n in range(1, depth_cap + 1):
             try:
                 q = self.quotient(n)
             except ResourceError:
                 break
-            if all(q.evaluate(d) != 0 for d in diffs):
+            if len({q.evaluate(w) for w in words}) == len(words):
                 return n
         raise ResourceError(
             f"no level <= {depth_cap} separates the given support "

@@ -144,13 +144,10 @@ class Word:
 def ball_size(radius: int, rank: int) -> int:
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    k2 = 2 * rank
-    total = 1
-    count = k2
-    for _ in range(radius):
-        total += count
-        count *= k2 - 1
-    return total
+    if rank == 1:
+        return 2 * radius + 1
+    # 1 + sum over 1 <= r' <= radius of the sphere size 2k (2k - 1)^(r' - 1)
+    return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
 
 
 def ball(radius: int, rank: int = 2, cap: int = DEFAULT_BALL_CAP) -> list[Word]:

@@ -20,10 +20,12 @@ from hlslab.groupoid import (INFINITY, FiberedFunction, HLSGroupoid,
                              check_certificate, convolve_fibered,
                              fd_norm_profile, fiber_norm_bracket,
                              folner_from_certificate, quasi_regular_norm,
-                             reduced_norm_estimate, rho_dense, rho_norm,
+                             reduced_norm_estimate, rho_norm,
                              tau_spectral_gap, truncation_lower_bound)
 from hlslab.quotients import kernel_refines
 from hlslab.words import GroupAlgebraElement, Word, ball
+
+from dense_oracle import rho_dense
 
 KESTEN_4_REGULAR = 2 * math.sqrt(3)
 

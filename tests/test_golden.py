@@ -25,8 +25,12 @@ REPORTS = {
     "quotients-fd-4": (["quotients", "--family", "fd", "--n-max", "4"], 0),
     "quotients-congruence-4": (
         ["quotients", "--family", "congruence", "--n-max", "4"], 0),
+    "quotients-congruence-5": (
+        ["quotients", "--family", "congruence", "--n-max", "5"], 0),
     "quotients-cyclic-6": (
         ["quotients", "--family", "cyclic", "--n-max", "6"], 0),
+    "quotients-fd-4-radius-2": (
+        ["quotients", "--family", "fd", "--n-max", "4", "--radius", "2"], 0),
     "amen-fd": (
         ["amen", "--family", "fd", "--element", FD_ELEMENT, "--kset",
          '[["inf","a"],[2,"ab"],[3,"aB"],[3,"bbA"],[4,"abAB"],[4,"baa"]]',

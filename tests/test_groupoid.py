@@ -20,10 +20,12 @@ from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              folner_from_certificate, infinity_norm_bracket,
                              markov_element, quasi_regular_norm,
                              reduced_norm_estimate, restrict_to_infinity,
-                             rho_dense, rho_norm, standard_lift,
+                             rho_norm, standard_lift,
                              tau_spectral_gap, truncation_lower_bound,
                              _truncation_bracket)
 from hlslab.words import GroupAlgebraElement, Word, ball
+
+from dense_oracle import rho_dense
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,11 @@ import time
 import numpy as np
 import pytest
 
+from hlslab.cli import SEPARATION_BALL_WORDS
 from hlslab.errors import InputError, ResourceError
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
                               enumerate_kernel_reps, kernel_refines)
-from hlslab.words import Word, ball
+from hlslab.words import Word, ball, ball_size
 
 
 def cyclic_perm(m, shift):
@@ -179,31 +180,95 @@ def test_evaluate_homomorphism_property(fd):
         assert q.evaluate(u.inverse()) == q.invert_element(q.evaluate(u))
 
 
-# -- nesting and separation ---------------------------------------------------
+# -- separation ---------------------------------------------------------------
 
-def test_nesting_all_families(fd, congruence, cyclic):
-    assert fd.check_nesting(4).all_pass
-    assert congruence.check_nesting(5).all_pass
-    assert cyclic.check_nesting(10).all_pass
+def brute_separation(base, radius, depth):
+    """Word by word: for each level n <= depth, the largest r <= radius
+    such that every nontrivial word of length <= r maps to a nontrivial
+    element at level n or an earlier one."""
+    quotients = [base.quotient(n) for n in range(1, depth + 1)]
+    radii = [radius] * depth
+    for w in ball(radius, base.rank)[1:]:
+        images = [q.evaluate(w) for q in quotients]
+        for n in range(depth):
+            if not any(images[:n + 1]):
+                radii[n] = min(radii[n], len(w) - 1)
+    return radii
+
+
+def bound_radius(rank):
+    """The radius the quotients report checks separation on: the largest
+    whose ball has at most SEPARATION_BALL_WORDS words."""
+    r = 0
+    while ball_size(r + 1, rank) <= SEPARATION_BALL_WORDS:
+        r += 1
+    return r
+
+
+def test_separation_bound_is_radius_8_in_rank_2():
+    assert bound_radius(2) == 8
+
+
+@pytest.mark.parametrize("family,depth,radius", [
+    ("fd", 4, 0), ("fd", 4, 3), ("fd", 4, "bound"),
+    ("congruence", 4, 0), ("congruence", 4, 5), ("congruence", 4, "bound"),
+    ("cyclic", 6, 0), ("cyclic", 6, 20), ("cyclic", 6, 70),
+])
+def test_separation_matches_word_by_word_search(request, family, depth,
+                                                radius):
+    # in rank 1 the word bound is radius 9,999; radius 70 already lies
+    # past level 6's separation radius 63
+    base = request.getfixturevalue(family)
+    if radius == "bound":
+        radius = bound_radius(base.rank)
+    assert base.check_separation(radius, depth) == \
+        brute_separation(base, radius, depth)
 
 
 def test_separation_fd_radius_2(fd):
-    report = fd.check_separation(2, 3)
-    assert report.all_separated
-    assert len(report.levels) == 16
+    assert fd.check_separation(2, 3) == [0, 1, 2]
 
 
 def test_separation_commutator_unseparated(fd):
-    report = fd.check_separation(4, 3)
     comm = Word.parse("abAB")
-    assert report.levels[comm] is None
-    assert comm in report.unseparated
+    assert all(fd.quotient(n).evaluate(comm) == 0 for n in range(1, 4))
+    assert fd.check_separation(4, 3)[-1] == 3
 
 
 def test_separation_cyclic(cyclic):
-    report = cyclic.check_separation(5, 3)
-    assert report.all_separated
-    assert all(level <= 3 for level in report.levels.values())
+    assert cyclic.check_separation(5, 3) == [1, 3, 5]
+
+
+def brute_separation_level(base, words, depth_cap):
+    """Pairwise differences: the first level where no u * v^-1 with u != v
+    maps to the identity, or None."""
+    diffs = [u * v.inverse() for u, v in itertools.combinations(words, 2)]
+    for n in range(1, depth_cap + 1):
+        q = base.quotient(n)
+        if all(q.evaluate(d) != 0 for d in diffs):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("family,radius,depth_cap", [
+    ("fd", 2, 5), ("congruence", 3, 5), ("cyclic", 6, 6)])
+def test_separation_level_matches_pairwise_differences(request, family,
+                                                       radius, depth_cap):
+    base = request.getfixturevalue(family)
+    words = ball(radius, base.rank)
+    rng = random.Random(7)
+    for _ in range(40):
+        support = rng.sample(words, rng.randint(2, 6))
+        want = brute_separation_level(base, support, depth_cap)
+        if want is None:
+            with pytest.raises(ResourceError):
+                base.separation_level(support, depth_cap=depth_cap)
+        else:
+            assert base.separation_level(support, depth_cap=depth_cap) == want
+    a, b = Word.parse("a", base.rank), Word.parse("aa", base.rank)
+    with pytest.raises(InputError):
+        base.separation_level([a, b, Word.parse("aAa", base.rank)])
+    assert base.separation_level([a]) == base.separation_level([]) == 1
 
 
 def test_separation_level_for_supports(fd, cyclic):

@@ -114,6 +114,9 @@ def test_ball_sizes():
     assert [len(ball(r, 2)) for r in (0, 1, 2)] == [1, 5, 17]
     for r in range(11):
         assert ball_size(r, 2) == 2 * 3 ** r - 1
+    for rank, radius in ((1, 7), (3, 4), (4, 3)):
+        assert [ball_size(r, rank) for r in range(radius + 1)] == \
+            [len(ball(r, rank)) for r in range(radius + 1)]
 
 
 def test_ball_shortlex_order():
