@@ -1,7 +1,9 @@
 """Error taxonomy shared across the package.
 
 Exit-code mapping used by the CLI: check failure -> 1, InputError -> 2,
-ResourceError -> 3.
+ResourceError -> 3.  A spectral solve that stops short of its requested
+width is not an error: its bracket stays valid and carries converged
+False.
 """
 
 
@@ -13,15 +15,6 @@ class InputError(ValueError):
 class ResourceError(RuntimeError):
     """A configured cap would be exceeded (ball size, fiber order,
     homomorphism enumeration level).  The message names the cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """Spectral iteration did not certify the requested bracket width.
-    Carries the best verified bracket."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
 
 
 class DegenerateCertificateError(InputError):

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import spectral
 from .balls import BallIndex
-from .errors import (ConvergenceError, DegenerateCertificateError, InputError,
-                     ResourceError)
+from .errors import DegenerateCertificateError, InputError, ResourceError
 from .exact import RationalComplex, is_exact, real_part
 from .quotients import ApproximatedGroup, FiniteQuotient
 from .spectral import ROUNDING_ULPS, NormBracket, singular_value_bracket
@@ -31,6 +30,7 @@ from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
 INFINITY = "inf"
 DEFAULT_GAP_MARGIN = 0.25
 DEFAULT_LIFT_DEPTH_CAP = 20
+TRUNCATION_TOL_REL = 1e-9  # the ball solve's requested relative width
 
 
 class HLSGroupoid:
@@ -230,8 +230,7 @@ def fiber_matvec(q: FiniteQuotient, coeffs: dict):
          for s, c in coeffs.items()], q.order, _fiber_dtype(coeffs))
 
 
-def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
-                       tol_rel: float = 1e-10) -> NormBracket:
+def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict) -> NormBracket:
     """Certified bracket for the operator norm of the fiber representation."""
     coeffs = _clean(coeffs)
     if not coeffs:
@@ -244,7 +243,7 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict,
     return singular_value_bracket(
         fiber_matvec(q, coeffs),
         fiber_matvec(q, adjoint_coeffs(coeffs, q.invert_element)), q.order,
-        upper_bound=l1, dtype=_fiber_dtype(coeffs), tol_rel=tol_rel)
+        upper_bound=l1, dtype=_fiber_dtype(coeffs))
 
 
 def _radial_scale(x: GroupAlgebraElement) -> float | None:
@@ -311,8 +310,8 @@ def _radial_bracket(c: float, rank: int, radius: int,
                        "collatz-wielandt")
 
 
-def _truncation_bracket(x: GroupAlgebraElement, radius: int, ball_cap: int,
-                        tol_rel: float) -> NormBracket:
+def _truncation_bracket(x: GroupAlgebraElement, radius: int,
+                        ball_cap: int) -> NormBracket:
     """Bracket for the norm of the compression of x to the ball of the
     given radius: the radial reduction for a positive multiple of the
     generator sum in rank >= 2, Lanczos on the ball otherwise.  The cap
@@ -330,34 +329,30 @@ def _truncation_bracket(x: GroupAlgebraElement, radius: int, ball_cap: int,
     compressions = [
         _gather_matvec([(c, gathers[w]) for w, c in y.coeffs.items()],
                        bi.size, dtype) for y in (x, x_star)]
-    try:
-        return singular_value_bracket(
-            *compressions, bi.size, upper_bound=None,
-            lower_provenance="truncation", dtype=dtype, tol_rel=tol_rel)
-    except ConvergenceError as err:
-        return err.bracket
+    return singular_value_bracket(
+        *compressions, bi.size, upper_bound=None,
+        lower_provenance="truncation", dtype=dtype,
+        tol_rel=TRUNCATION_TOL_REL)
 
 
 def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
-                           ball_cap: int = DEFAULT_BALL_CAP,
-                           tol_rel: float = 1e-9) -> float:
+                           ball_cap: int = DEFAULT_BALL_CAP) -> float:
     """Norm of the compression of the regular representation of x to the
     ball of the given radius: a certified lower bound for the reduced
     free-group norm, also when the solve did not converge."""
     if not x.coeffs:
         return 0.0
-    return _truncation_bracket(x, radius, ball_cap, tol_rel).lower
+    return _truncation_bracket(x, radius, ball_cap).lower
 
 
 def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
-                          ball_cap: int = DEFAULT_BALL_CAP,
-                          tol_rel: float = 1e-9) -> NormBracket:
+                          ball_cap: int = DEFAULT_BALL_CAP) -> NormBracket:
     """Bracket for the reduced norm of x on the infinity fiber: truncation
     compression below, min(l1, Haagerup) above.  converged is False when
     the truncation solve did not certify its requested width."""
     if not x.coeffs:
         return NormBracket(0.0, 0.0, "truncation", "l1")
-    truncation = _truncation_bracket(x, radius, ball_cap, tol_rel)
+    truncation = _truncation_bracket(x, radius, ball_cap)
     l1 = x.l1_norm()
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:
@@ -369,24 +364,13 @@ def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
 
 
 def rho_norm(f: FiberedFunction, n, radius: int = 8,
-             ball_cap: int = DEFAULT_BALL_CAP,
-             tol_rel: float = 1e-10) -> NormBracket:
+             ball_cap: int = DEFAULT_BALL_CAP) -> NormBracket:
     """Norm bracket of the fiber representation rho_n(f); n may be a level
-    or the infinity marker "inf"."""
+    or the infinity marker "inf".  rho_norm(FiberedFunction(G, x), n) is
+    the quasi-regular norm of x at level n."""
     if n == INFINITY:
-        return infinity_norm_bracket(f.tail, radius, ball_cap,
-                                     max(tol_rel, 1e-9))
-    return fiber_norm_bracket(f.groupoid.quotient(n), f.fiber(n), tol_rel)
-
-
-def quasi_regular_norm(x: GroupAlgebraElement, groupoid: HLSGroupoid, n,
-                       radius: int = 8,
-                       ball_cap: int = DEFAULT_BALL_CAP,
-                       tol_rel: float = 1e-10) -> NormBracket:
-    """Bracket for the quasi-regular representation norm of x at level n
-    (the pushforward acting on l2 of the quotient), or at infinity."""
-    f = FiberedFunction(groupoid, x, 1, {})
-    return rho_norm(f, n, radius, ball_cap, tol_rel)
+        return infinity_norm_bracket(f.tail, radius, ball_cap)
+    return fiber_norm_bracket(f.groupoid.quotient(n), f.fiber(n))
 
 
 @dataclass(frozen=True)
@@ -402,16 +386,14 @@ class ReducedNormReport:
     bracket: NormBracket
 
 
-def _level_rows(f: FiberedFunction, levels,
-                tol_rel: float) -> list[LevelRow]:
-    return [LevelRow(n, f.groupoid.quotient(n).order,
-                     rho_norm(f, n, tol_rel=tol_rel))
+def _level_rows(f: FiberedFunction, levels) -> list[LevelRow]:
+    return [LevelRow(n, f.groupoid.quotient(n).order, rho_norm(f, n))
             for n in levels]
 
 
 def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
-                          ball_cap: int = DEFAULT_BALL_CAP,
-                          tol_rel: float = 1e-10) -> ReducedNormReport:
+                          ball_cap: int = DEFAULT_BALL_CAP
+                          ) -> ReducedNormReport:
     """Bracket for sup over all fibers of the fiber representation norms.
 
     Levels 1..n_max and every override level are computed; the other
@@ -420,10 +402,10 @@ def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
     supremum.
     """
     levels = sorted(set(range(1, n_max + 1)) | set(f.override_levels()))
-    rows = _level_rows(f, levels, tol_rel)
+    rows = _level_rows(f, levels)
     brackets = [r.bracket for r in rows]
     if not f.is_tail_zero():
-        inf_bracket = rho_norm(f, INFINITY, radius, ball_cap, tol_rel)
+        inf_bracket = rho_norm(f, INFINITY, radius, ball_cap)
         rows.append(LevelRow(INFINITY, INFINITY, inf_bracket))
         # the tail's l1 norm dominates every uncomputed fiber
         brackets.append(replace(inf_bracket, upper=f.tail.l1_norm(),
@@ -450,8 +432,7 @@ def fd_norm_profile(x: GroupAlgebraElement, groupoid: HLSGroupoid,
                     n_max: int, radius: int = 12,
                     margin: float = DEFAULT_GAP_MARGIN,
                     infinity_ceiling: float | None = None,
-                    ball_cap: int = DEFAULT_BALL_CAP,
-                    tol_rel: float = 1e-10) -> GapReport:
+                    ball_cap: int = DEFAULT_BALL_CAP) -> GapReport:
     """Per-level quasi-regular norm profile with the gap diagnosis.
 
     The GAP flag is raised when the certified finite-level sup exceeds the
@@ -462,11 +443,11 @@ def fd_norm_profile(x: GroupAlgebraElement, groupoid: HLSGroupoid,
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("profile element must be self-adjoint")
     f = FiberedFunction(groupoid, x, 1, {})
-    rows = _level_rows(f, range(1, n_max + 1), tol_rel)
+    rows = _level_rows(f, range(1, n_max + 1))
     failures = [(a.level, b.level) for a, b in zip(rows, rows[1:])
                 if b.bracket.lower + 1e-8 < a.bracket.lower]
     sup_finite = reduce(NormBracket.max, (r.bracket for r in rows))
-    inf_bracket = rho_norm(f, INFINITY, radius, ball_cap, tol_rel)
+    inf_bracket = rho_norm(f, INFINITY, radius, ball_cap)
     ceiling = inf_bracket.upper
     if infinity_ceiling is not None:
         ceiling = min(ceiling, infinity_ceiling)
@@ -492,12 +473,10 @@ def markov_element(rank: int = 2) -> GroupAlgebraElement:
     return gen_sum.scale(Fraction(1, 2 * rank))
 
 
-def tau_spectral_gap(groupoid_or_base, n: int) -> float:
+def tau_spectral_gap(base: ApproximatedGroup, n: int) -> float:
     """Second eigenvalue of the Markov operator on l2 of the level-n
     quotient: the top eigenvalue of the quasi-regular image restricted to
     the orthogonal complement of the constant vector."""
-    base = (groupoid_or_base.base
-            if isinstance(groupoid_or_base, HLSGroupoid) else groupoid_or_base)
     if base.rank < 2:
         raise InputError("the tau contrast needs a rank-2 family")
     q = base.quotient(n)

@@ -200,13 +200,15 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
     the corestriction to the image, so pairs (sigma, tau) of permutations in
     S_n generating a subgroup of order <= n exhaust all kernels.
     Simultaneous conjugation keeps the kernel, so sigma runs over one
-    representative per cycle type.  Deduplication is by kernel equality
-    (mutual refinement).
+    representative per cycle type.  BFS indexing is canonical for a
+    labelled Cayley graph, so two kernels are equal exactly when the right
+    Cayley tables are byte-identical; deduplication is by table bytes.
     """
     if n < 1:
         raise InputError("level must be >= 1")
     _check_hom_level(n, hom_level_cap)
     reps: list[FiniteQuotient] = []
+    seen: set[bytes] = set()
     taus = [np.array(t, dtype=np.int32)
             for t in itertools.permutations(range(n))]
     for sigma in _class_reps(n):
@@ -215,9 +217,9 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
                 cand = FiniteQuotient([sigma, tau], rank=2, cap=n)
             except ResourceError:
                 continue
-            # equal orders, so one-way refinement implies equality
-            if not any(r.order == cand.order and kernel_refines(cand, r)
-                       for r in reps):
+            key = cand.table.tobytes()
+            if key not in seen:
+                seen.add(key)
                 reps.append(cand)
     return reps
 

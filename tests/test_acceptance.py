@@ -19,7 +19,7 @@ from hlslab.groupoid import (INFINITY, FiberedFunction, HLSGroupoid,
                              adjoint_fibered, certificate_from_folner,
                              check_certificate, convolve_fibered,
                              fd_norm_profile, fiber_norm_bracket,
-                             folner_from_certificate, quasi_regular_norm,
+                             folner_from_certificate,
                              reduced_norm_estimate, rho_norm,
                              tau_spectral_gap, truncation_lower_bound)
 from hlslab.quotients import kernel_refines
@@ -158,7 +158,7 @@ def test_criterion_3_fiber_norm_exactness(fd, cyclic):
                 abs(sum(c * cmath.exp(2j * math.pi * j * k / N)
                         for j, c in coeffs.items()))
                 for k in range(N))
-            br = quasi_regular_norm(x, Gc, n)
+            br = rho_norm(FiberedFunction(Gc, x), n)
             worst_c = max(worst_c, abs(br.lower - expected))
     ok = ok and worst_c <= 1e-9 * 20
     report("criterion 3: generator-sum FD fiber norms = 4 within 1e-8; "

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlslab import spectral
 from hlslab.balls import BallIndex
 from hlslab.errors import (DegenerateCertificateError, InputError,
                            ResourceError)
@@ -18,7 +19,7 @@ from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              fd_norm_profile, fiber_matvec,
                              fiber_norm_bracket,
                              folner_from_certificate, infinity_norm_bracket,
-                             markov_element, quasi_regular_norm,
+                             markov_element,
                              reduced_norm_estimate, restrict_to_infinity,
                              rho_norm, standard_lift,
                              tau_spectral_gap, truncation_lower_bound,
@@ -177,7 +178,7 @@ def test_cyclic_circulant_norm_and_character_formula(gcyc):
         N = 2 ** n
         expected = max(abs(2 * math.cos(2 * math.pi * k / N))
                        for k in range(N))
-        br = quasi_regular_norm(x, gcyc, n)
+        br = rho_norm(FiberedFunction(gcyc, x), n)
         assert abs(br.lower - expected) < 1e-9
         assert br.upper >= expected - 1e-12
 
@@ -195,7 +196,7 @@ def test_character_formula_random_cyclic(gcyc):
             abs(sum(c * cmath.exp(2j * math.pi * j * k / N)
                     for j, c in enumerate(coeffs)))
             for k in range(N))
-        br = quasi_regular_norm(x, gcyc, n)
+        br = rho_norm(FiberedFunction(gcyc, x), n)
         assert abs(br.lower - expected) < 1e-8 * max(1.0, expected)
 
 
@@ -204,14 +205,14 @@ def test_upper_endpoint_not_below_exact_norm(gfd, gcyc):
     # norm exactly 2 on every cyclic fiber; sqrt(theta + residual) alone
     # rounds one ulp below both
     for n in (1, 2, 3, 4):
-        assert quasi_regular_norm(gen_sum(), gfd, n).upper >= 4.0
+        assert rho_norm(FiberedFunction(gfd, gen_sum()), n).upper >= 4.0
     x = GroupAlgebraElement.from_pairs([("a", 1), ("A", 1)], 1)
     for n in range(1, 9):
-        assert quasi_regular_norm(x, gcyc, n).upper >= 2.0
+        assert rho_norm(FiberedFunction(gcyc, x), n).upper >= 2.0
 
 
 def test_trivial_fiber_is_scalar(gfd):
-    br = quasi_regular_norm(gen_sum(), gfd, 1)
+    br = rho_norm(FiberedFunction(gfd, gen_sum()), 1)
     assert br.lower == br.upper == 4.0
     assert br.lower_provenance == "trivial-representation"
 
@@ -409,6 +410,37 @@ def test_unconverged_truncation_is_reported(one_short_restart):
     assert lower <= 2 * math.cos(math.pi / 62)
 
 
+def _signed_element():
+    return GroupAlgebraElement.from_pairs(
+        [("a", 1), ("A", 1), ("b", -1), ("B", -1), ("ab", 1), ("BA", 1)])
+
+
+def test_unconverged_fiber_bracket_is_reported(fd, one_short_restart):
+    # the constant vector is an eigenvector of every finite fiber, so a
+    # solve from it alone stops after one matvec, converged
+    q = fd.quotient(4)
+    coeffs = q.pushforward(_signed_element())
+    br = fiber_norm_bracket(q, coeffs)
+    assert not br.converged
+    assert br.lower <= np.linalg.norm(rho_dense(q, coeffs), 2)
+
+
+def test_one_solve_per_bracket(fd, monkeypatch):
+    dims = []
+    solve = spectral.lanczos_extreme
+
+    def counting(apply_op, dim, *args, **kwargs):
+        dims.append(dim)
+        return solve(apply_op, dim, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", counting)
+    q = fd.quotient(4)
+    assert fiber_norm_bracket(q, q.pushforward(_signed_element())).converged
+    assert dims == [q.order]
+    assert infinity_norm_bracket(_signed_element(), 3).converged
+    assert dims == [q.order, BallIndex(2, 3).size]
+
+
 # rank 3 stops at radius 4: the dense matrix of its radius-5 ball (4,687
 # words) takes 350 MB, of its radius-6 ball (23,437 words) 8.8 GB
 @pytest.mark.parametrize("rank,radius", [(2, r) for r in range(7)]
@@ -420,7 +452,7 @@ def test_radial_truncation_matches_dense_compression(rank, radius, scale):
     # the compression is real symmetric: its norm is its largest |eigenvalue|
     m = _dense_compression(x, radius).real
     dense = np.abs(np.linalg.eigvalsh(m)).max()
-    br = _truncation_bracket(x, radius, 5_000_000, 1e-9)
+    br = _truncation_bracket(x, radius, 5_000_000)
     assert abs(br.lower - dense) <= 1e-12
     assert br.lower <= br.upper
     assert dense <= br.upper
@@ -436,9 +468,9 @@ def test_radial_truncation_radius_12():
 
 def test_radial_truncation_checks_its_cap():
     # r + 1 points are stored, not the ball's words
-    assert _truncation_bracket(gen_sum(), 14, 15, 1e-9).lower > 3.4
+    assert _truncation_bracket(gen_sum(), 14, 15).lower > 3.4
     with pytest.raises(ResourceError):
-        _truncation_bracket(gen_sum(), 14, 14, 1e-9)
+        _truncation_bracket(gen_sum(), 14, 14)
 
 
 @pytest.fixture()
@@ -481,7 +513,7 @@ def test_trivial_bound_for_nonnegative_element(gfd):
         [(Word((1,), 2), Fraction(1)), (Word((-2,), 2), Fraction(2)),
          (Word.identity(2), Fraction(1, 2))], 2)
     total = complex(x.sum_of_coefficients()).real
-    br = quasi_regular_norm(x, gfd, 1)
+    br = rho_norm(FiberedFunction(gfd, x), 1)
     assert abs(br.lower - total) < 1e-8
 
 

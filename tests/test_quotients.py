@@ -55,7 +55,13 @@ def test_kernel_reps_match_all_pairs(n, count):
                                         repeat=2):
         gens = [np.array(sigma, dtype=np.int32), np.array(tau, dtype=np.int32)]
         q = FiniteQuotient(gens, rank=2)
-        if q.order <= n and not any(same(q, r) for r in brute):
+        if q.order > n:
+            continue
+        equal = [same(q, r) for r in brute]
+        # the enumeration's key: equal kernels have identical right tables
+        assert equal == [q.table.tobytes() == r.table.tobytes()
+                         for r in brute]
+        if not any(equal):
             brute.append(q)
     reps = enumerate_kernel_reps(n)
     assert len(brute) == len(reps) == count
