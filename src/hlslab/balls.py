@@ -7,7 +7,8 @@ letters in rank order (a < A < b < B < ...): a word's children are
 contiguous, in rank order, skipping the inverse of its last letter.  The
 index keeps that right Cayley table, built one layer at a time with
 vectorized writes, and left-multiplication tables come from propagating
-the BFS tree through it (perms.propagate), as on a finite quotient.  A
+the BFS tree through it (perms.propagate), as on a finite quotient; the
+tree's layer ends are the ball sizes in closed form.  A
 word's table is composed from its letters' tables as a gather, so applying
 it costs one indexed read per ball word.
 """
@@ -40,6 +41,8 @@ class BallIndex:
                              dtype=np.int32)
         self.parent = np.zeros(self.size, dtype=np.int32)
         self.letter = np.zeros(self.size, dtype=np.int8)
+        # BFS layer r is the sphere of radius r
+        self.layer_ends = [ball_size(r, rank) for r in range(radius + 1)]
         # allowed[c] = the ranks that may follow rank c, ascending
         allowed = np.array([[x for x in range(n_letters) if x != c ^ 1]
                             for c in range(n_letters)], dtype=np.int8)
@@ -68,8 +71,8 @@ class BallIndex:
             # the one-letter word has index 1 + its rank (the sentinel when the
             # ball is the identity alone)
             start = min(1 + letter_rank(letter), self.size)
-            self._move_cache[letter] = propagate(self.table, self.parent,
-                                                 self.letter, start)
+            self._move_cache[letter] = propagate(
+                self.table, self.parent, self.letter, self.layer_ends, start)
         return self._move_cache[letter]
 
     def word_move(self, w: Word) -> np.ndarray:

@@ -118,38 +118,6 @@ class FiberedFunction:
         return FiberedFunction(self.groupoid, self.tail.scale(s),
                                self.threshold, overrides)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        overrides = {}
-        for n in sorted(self.overrides):
-            q = self.groupoid.quotient(n)
-            dense = []
-            for i in range(q.order):
-                c = complex(self.overrides[n].get(i, 0))
-                dense.append([c.real, c.imag])
-            overrides[str(n)] = dense
-        import json
-        return {"tail": json.loads(self.tail.to_json()),
-                "threshold": self.threshold,
-                "overrides": overrides}
-
-    @staticmethod
-    def from_json_dict(data: dict, groupoid: HLSGroupoid) -> "FiberedFunction":
-        import json
-        tail = GroupAlgebraElement.from_json(
-            json.dumps(data["tail"]), rank=groupoid.rank)
-        overrides = {}
-        for n_s, dense in data.get("overrides", {}).items():
-            fib = {}
-            for i, (re_v, im_v) in enumerate(dense):
-                c = complex(re_v, im_v)
-                if c:
-                    fib[i] = c.real if c.imag == 0 else c
-            overrides[int(n_s)] = fib
-        return FiberedFunction(groupoid, tail, int(data["threshold"]),
-                               overrides)
-
 
 # -- C_c(G) arithmetic -------------------------------------------------------
 

@@ -33,13 +33,16 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
     """Breadth-first closure of <gens>, right-multiplying by g1, g1^-1,
     g2, g2^-1, ... in turn, so the identity gets index 0.
 
-    Returns (table, parent, letter), or None if the group has more than
-    cap elements.  table is the right Cayley table, order x 2k int32:
-    table[i, c] is the index of element_i * (letter c), where letter c is
-    the c-th of g1, g1^-1, g2, g2^-1, ..., so column c ^ 1 holds the
-    inverse letter.  The BFS tree has element_i = element_parent[i] *
-    (letter letter[i]) for i > 0; parent never decreases.  Generators need
-    not include inverses (the group is finite).
+    Returns (table, parent, letter, layer_ends), or None if the group has
+    more than cap elements.  table is the right Cayley table, order x 2k
+    int32: table[i, c] is the index of element_i * (letter c), where
+    letter c is the c-th of g1, g1^-1, g2, g2^-1, ..., so column c ^ 1
+    holds the inverse letter.  The BFS tree has element_i =
+    element_parent[i] * (letter letter[i]) for i > 0; parent never
+    decreases.  BFS layer r (the elements at word length r) is
+    [layer_ends[r - 1], layer_ends[r]), with layer_ends[0] = 1 for the
+    identity and layer_ends[-1] = order.  Generators need not include
+    inverses (the group is finite).
     """
     degree = len(gens[0])
     letters = []
@@ -53,8 +56,12 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
     table = array("i")
     parent = array("i", [0])
     letter = array("b", [0])
+    layer_ends = array("q", [1])
     i = 0
     while i < len(found):
+        if i == layer_ends[-1]:
+            # layer r is done, so layer r + 1 is everything found so far
+            layer_ends.append(len(found))
         # row c is element_i * (letter c); its bytes are the element's key
         keys = np.frombuffer(found[i], dtype=np.int32)[letters].tobytes()
         for c in range(len(letters)):
@@ -71,22 +78,21 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
         i += 1
     return (np.frombuffer(table, dtype=np.int32).reshape(i, len(letters)),
             np.frombuffer(parent, dtype=np.int32),
-            np.frombuffer(letter, dtype=np.int8))
+            np.frombuffer(letter, dtype=np.int8),
+            np.frombuffer(layer_ends, dtype=np.int64))
 
 
 def propagate(table: np.ndarray, parent: np.ndarray, letter: np.ndarray,
-              start: int) -> np.ndarray:
+              layer_ends, start: int) -> np.ndarray:
     """out[i] = table-index of x * element_i, where x has index start and
-    element_i runs over a BFS tree (parent, letter) of the same letters:
-    x * element_i = (x * element_parent[i]) * (letter letter[i]), so each
-    BFS layer is one gather through the right Cayley table.  out is an
-    intp array, so gathers through it need no index conversion."""
+    element_i runs over a BFS tree (parent, letter, layer_ends, as
+    bfs_order returns them) of the same letters: x * element_i = (x *
+    element_parent[i]) * (letter letter[i]), so each BFS layer is one
+    gather through the right Cayley table.  out is an intp array, so
+    gathers through it need no index conversion."""
     out = np.empty(len(parent), dtype=np.intp)
     out[0] = start
-    lo, hi = 0, 1
-    while hi < len(parent):
-        # the next layer: every element whose parent lies in [lo, hi)
-        lo, hi = hi, int(np.searchsorted(parent, hi))
+    for lo, hi in zip(layer_ends[:-1], layer_ends[1:]):
         out[lo:hi] = table[out[parent[lo:hi]], letter[lo:hi]]
     return out
 

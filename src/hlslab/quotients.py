@@ -14,6 +14,14 @@ indexed 0..order-1 by Cayley-graph BFS from the identity in the fixed
 generator order (g1, g1^-1, g2, g2^-1, ...), and it keeps the right Cayley
 table of that indexing and the BFS tree, not the permutations.
 
+The disk cache stores each level as one quotient-<family>-<n>.npz: the
+generator permutations, the rank, the right Cayley table and the BFS tree
+with its layer ends.  A load reads those arrays and checks them in a few
+vectorised passes (shapes, ranges, tree edges, inverse letter pairs)
+instead of redoing the BFS; zip's CRC-32 catches corrupt bytes.  The tie
+to the generators is the Schreier-Sims order check the quotients report
+runs on every level.
+
 Nesting and separation go through the same tables: kernel_refines is one
 propagation of a level's BFS tree through the level below, and
 check_separation is one propagation of a free-group ball's BFS tree
@@ -23,9 +31,9 @@ through each level.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +41,12 @@ import numpy as np
 from .balls import BallIndex
 from .errors import InputError, ResourceError
 from .perms import bfs_order, propagate, schreier_sims_order
-from .words import GroupAlgebraElement, Word, ball_size, letter_rank
+from .words import GroupAlgebraElement, Word, letter_rank
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+# the arrays of a cache file besides format_version, in from_cache_dict order
+CACHE_DTYPES = {"rank": np.int64, "generators": np.int32, "table": np.int32,
+                "parent": np.int32, "letter": np.int8, "layer_ends": np.int64}
 DEFAULT_FIBER_CAP = 2_000_000
 DEFAULT_HOM_LEVEL_CAP = 6
 MAX_CONGRUENCE_DEGREE = 50_000_000
@@ -54,23 +65,28 @@ class FiniteQuotient:
     multiplication by g1, g1^-1, g2, g2^-1, ... in that order), so the
     identity has index 0 and indices are reproducible.  The quotient keeps
     only its right Cayley table and BFS tree (perms.bfs_order); every
-    group operation is a walk through the table.
+    group operation is a walk through the table.  A quotient read back
+    from the disk cache (from_cache_dict) takes the stored table and tree
+    as they are, after checking them, and runs no BFS.
     """
 
     def __init__(self, gen_perms: list[np.ndarray], rank: int,
                  cap: int = DEFAULT_FIBER_CAP):
         if len(gen_perms) != rank:
             raise InputError("need one permutation per generator")
-        self.rank = rank
-        self.gen_perms = [np.asarray(g, dtype=np.int32) for g in gen_perms]
-        self.degree = len(self.gen_perms[0])
-        for g in self.gen_perms:
-            if len(g) != self.degree:
-                raise InputError("generator permutations have mixed degrees")
-        closure = bfs_order(self.gen_perms, cap)
+        gen_perms = [np.asarray(g, dtype=np.int32) for g in gen_perms]
+        if any(len(g) != len(gen_perms[0]) for g in gen_perms):
+            raise InputError("generator permutations have mixed degrees")
+        closure = bfs_order(gen_perms, cap)
         if closure is None:
             raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
-        self.table, self.parent, self.letter = closure
+        self._adopt(gen_perms, closure)
+
+    def _adopt(self, gen_perms: list[np.ndarray], closure) -> None:
+        self.rank = len(gen_perms)
+        self.gen_perms = gen_perms
+        self.degree = len(gen_perms[0])
+        self.table, self.parent, self.letter, self.layer_ends = closure
         self.order = len(self.table)
         self._left_tables: dict[int, np.ndarray] = {}
 
@@ -108,7 +124,8 @@ class FiniteQuotient:
         """arr[v] = index of element_t * element_v, for all v."""
         tbl = self._left_tables.get(t)
         if tbl is None:
-            tbl = propagate(self.table, self.parent, self.letter, t)
+            tbl = propagate(self.table, self.parent, self.letter,
+                            self.layer_ends, t)
             self._left_tables[t] = tbl
         return tbl
 
@@ -127,26 +144,61 @@ class FiniteQuotient:
 
     # -- cache serialization -----------------------------------------------
 
-    def to_cache_dict(self, family: str, n: int) -> dict:
-        return {
-            "format_version": CACHE_FORMAT_VERSION,
-            "family": family,
-            "n": n,
-            "rank": self.rank,
-            "degree": str(self.degree),
-            "order": str(self.order),
-            "generators": [[str(int(x)) for x in g] for g in self.gen_perms],
-        }
+    def to_cache_dict(self) -> dict[str, np.ndarray]:
+        """The arrays of this quotient's cache file (np.savez keywords)."""
+        return {"format_version": np.array(CACHE_FORMAT_VERSION),
+                "rank": np.array(self.rank, dtype=np.int64),
+                "generators": np.stack(self.gen_perms),
+                "table": self.table, "parent": self.parent,
+                "letter": self.letter, "layer_ends": self.layer_ends}
 
     @staticmethod
-    def from_cache_dict(data: dict, cap: int = DEFAULT_FIBER_CAP) -> "FiniteQuotient":
-        if data.get("format_version") != CACHE_FORMAT_VERSION:
+    def from_cache_dict(data, cap: int = DEFAULT_FIBER_CAP) -> "FiniteQuotient":
+        """The quotient whose to_cache_dict arrays data maps to (an open
+        .npz file will do), without a BFS.  Raises ResourceError if its
+        order exceeds cap, and InputError unless the table is a right
+        Cayley table in inverse letter pairs and parent, letter and
+        layer_ends a BFS tree of it; each check is one vectorised pass."""
+        if data["format_version"] != CACHE_FORMAT_VERSION:
             raise InputError("unsupported cache format version")
-        gens = [np.array([int(x) for x in g], dtype=np.int32)
-                for g in data["generators"]]
-        q = FiniteQuotient(gens, rank=int(data["rank"]), cap=cap)
-        if q.order != int(data["order"]):
-            raise InputError("cached order disagrees with recomputation")
+        arrays = []
+        for name, dtype in CACHE_DTYPES.items():
+            a = data[name]
+            if a.dtype != dtype:
+                raise InputError(f"cached {name} has dtype {a.dtype}")
+            arrays.append(a)
+        rank, gens, table, parent, letter, ends = arrays
+        if not (rank.shape == () and rank >= 1 and gens.ndim == 2
+                and gens.shape[0] == rank and gens.shape[1] >= 1
+                and table.ndim == 2 and table.shape[1] == 2 * rank
+                and parent.shape == letter.shape == table.shape[:1]
+                and len(table) >= 1 and ends.ndim == 1 and len(ends) >= 1):
+            raise InputError("cached quotient arrays have mismatched shapes")
+        rank, order = int(rank), len(table)
+        if order > cap:
+            raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
+        # hit[i, j]: point j is the image of some point under generator i
+        hit = np.zeros(gens.shape, dtype=bool)
+        if 0 <= gens.min() and gens.max() < gens.shape[1]:
+            hit[np.arange(rank)[:, None], gens] = True
+        if not hit.all():
+            raise InputError("cached generators are not permutations")
+        if (np.diff(parent) < 0).any():
+            raise InputError("cached BFS tree parent decreases")
+        if not (0 <= table.min() and table.max() < order
+                and 0 <= letter.min() and letter.max() < 2 * rank
+                and 0 <= parent[0] and parent[-1] < order):
+            raise InputError("cached quotient entries out of range")
+        if not (table[parent[1:], letter[1:]] == np.arange(1, order)).all():
+            raise InputError("cached BFS tree disagrees with the table")
+        if not (ends[0] == 1 and ends[-1] == order and np.array_equal(
+                np.searchsorted(parent, ends[:-1]), ends[1:])):
+            raise InputError("cached BFS layer ends disagree with the tree")
+        inverse_cols = np.arange(2 * rank) ^ 1
+        if not (table[table, inverse_cols] == np.arange(order)[:, None]).all():
+            raise InputError("cached table columns are not inverse pairs")
+        q = FiniteQuotient.__new__(FiniteQuotient)
+        q._adopt(list(gens), (table, parent, letter, ends))
         return q
 
 
@@ -160,7 +212,7 @@ def kernel_refines(p: FiniteQuotient, q: FiniteQuotient) -> bool:
     """
     if p.rank != q.rank:
         raise InputError("rank mismatch in kernel_refines")
-    phi = propagate(q.table, p.parent, p.letter, 0)
+    phi = propagate(q.table, p.parent, p.letter, p.layer_ends, 0)
     return bool(np.array_equal(phi[p.table], q.table[phi]))
 
 
@@ -280,7 +332,7 @@ class ApproximatedGroup:
     def _cache_path(self, n: int) -> Path | None:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"quotient-{self.family}-{n}.json"
+        return self.cache_dir / f"quotient-{self.family}-{n}.npz"
 
     def check_level(self, n: int) -> None:
         """Raises ResourceError if building level n would exceed a cap."""
@@ -299,7 +351,8 @@ class ApproximatedGroup:
     def check_levels(self, levels) -> None:
         """Raises ResourceError, before anything is built, if building one
         of the given levels would exceed a cap.  Levels already in memory
-        or in the disk cache are loaded, not built, so no cap applies."""
+        or in the disk cache are loaded, not built, so only the fiber cap
+        applies to them, when they load."""
         for n in levels:
             path = self._cache_path(n)
             if n not in self._memory and not (path is not None
@@ -322,18 +375,21 @@ class ApproximatedGroup:
             return q
         path = self._cache_path(n)
         if path is not None and path.exists():
-            q = FiniteQuotient.from_cache_dict(
-                json.loads(path.read_text()), cap=self.fiber_cap)
+            try:
+                with np.load(path, allow_pickle=False) as data:
+                    q = FiniteQuotient.from_cache_dict(data,
+                                                       cap=self.fiber_cap)
+            except (OSError, ValueError, KeyError, EOFError,
+                    zipfile.BadZipFile) as e:
+                raise InputError(f"bad cache file {path}: {e}") from e
         else:
             q = self._build(n)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                payload = json.dumps(q.to_cache_dict(self.family, n),
-                                     separators=(",", ":"))
                 fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
                 try:
-                    with os.fdopen(fd, "w") as fh:
-                        fh.write(payload)
+                    with os.fdopen(fd, "wb") as fh:
+                        np.savez(fh, **q.to_cache_dict())
                     os.replace(tmp, path)  # atomic for concurrent writers
                 except BaseException:
                     if os.path.exists(tmp):
@@ -355,7 +411,6 @@ class ApproximatedGroup:
         one.
         """
         bi = BallIndex(self.rank, radius)
-        layer_ends = [ball_size(r, self.rank) for r in range(radius + 1)]
         # the slot past the ball stands for the first word outside it
         unseparated = np.ones(bi.size + 1, dtype=bool)
         unseparated[0] = False  # the identity word
@@ -363,9 +418,9 @@ class ApproximatedGroup:
         for n in range(1, depth + 1):
             q = self.quotient(n)
             unseparated[:-1] &= propagate(q.table, bi.parent, bi.letter,
-                                          0) == 0
+                                          bi.layer_ends, 0) == 0
             first = int(np.argmax(unseparated))
-            radii.append(int(np.searchsorted(layer_ends, first,
+            radii.append(int(np.searchsorted(bi.layer_ends, first,
                                              side="right")) - 1)
         return radii
 

@@ -27,7 +27,8 @@ ROUNDING_ULPS = 256  # rounding allowance on theta + residual, in ulps
 class NormBracket:
     """Certified interval for an operator norm, with provenance tags.
     converged is False when the solve behind it stopped short of its
-    requested width (the endpoints are still valid); max() drops it."""
+    requested width (the endpoints are still valid); max() keeps it only
+    when both operands have it."""
 
     lower: float
     upper: float
@@ -49,11 +50,13 @@ class NormBracket:
         return 0.5 * (self.lower + self.upper)
 
     def max(self, other: "NormBracket") -> "NormBracket":
-        """Endpointwise max: bracket for max of the two norms."""
+        """Endpointwise max: bracket for max of the two norms, converged
+        when both operands are."""
         lo = max((self, other), key=lambda b: b.lower)
         hi = max((self, other), key=lambda b: b.upper)
         return NormBracket(lo.lower, hi.upper,
-                           lo.lower_provenance, hi.upper_provenance)
+                           lo.lower_provenance, hi.upper_provenance,
+                           self.converged and other.converged)
 
 
 def _ritz_top(T, k):

@@ -719,15 +719,3 @@ def test_zero_mass_certificate_error(gcyc):
     cert = AmenabilityCertificate(eta, ((1, 0),), 0.5)
     with pytest.raises(DegenerateCertificateError):
         folner_from_certificate(cert)
-
-
-# -- serialization ------------------------------------------------------------
-
-def test_fibered_function_json_round_trip(gfd):
-    q = gfd.quotient(2)
-    f = FiberedFunction(
-        gfd, gen_sum(), 3,
-        {1: {0: 2.5}, 2: {q.evaluate(Word((1,), 2)): 1 + 2j}})
-    g = FiberedFunction.from_json_dict(f.to_json_dict(), gfd)
-    assert g.same_function(f)
-    assert g.threshold == f.threshold

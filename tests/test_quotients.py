@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from hlslab import quotients
 from hlslab.cli import SEPARATION_BALL_WORDS
 from hlslab.errors import InputError, ResourceError
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
@@ -294,19 +295,111 @@ def test_separation_level_depth_cap(fd):
 
 # -- disk cache ---------------------------------------------------------------
 
-def test_cache_round_trip(tmp_path):
-    base = ApproximatedGroup("fd", cache_dir=tmp_path)
-    fresh = base.quotient(3)
-    path = tmp_path / "quotient-fd-3.json"
-    assert path.exists()
-    data = json.loads(path.read_text())
-    assert data["format_version"] == 1
-    assert all(isinstance(v, str) for g in data["generators"] for v in g)
-    reloaded = FiniteQuotient.from_cache_dict(data)
-    assert reloaded.order == fresh.order
-    assert np.array_equal(reloaded.table, fresh.table)
-    assert all(np.array_equal(g, h)
-               for g, h in zip(reloaded.gen_perms, fresh.gen_perms))
+def test_cache_round_trip(tmp_path, monkeypatch):
+    ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+    assert (tmp_path / "quotient-fd-3.npz").exists()
+    fresh = ApproximatedGroup("fd").quotient(3)
+    calls = []
+    bfs = quotients.bfs_order
+    monkeypatch.setattr(quotients, "bfs_order",
+                        lambda *a, **k: calls.append(a) or bfs(*a, **k))
+    reloaded = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+    assert calls == []  # a load is a read, not a BFS
+    assert (reloaded.order, reloaded.degree, reloaded.rank) == \
+        (fresh.order, fresh.degree, fresh.rank)
+    for name in ("table", "parent", "letter", "layer_ends"):
+        a, b = getattr(reloaded, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert np.stack(reloaded.gen_perms).tobytes() == \
+        np.stack(fresh.gen_perms).tobytes()
+    assert reloaded.verify_schreier_sims()
+
+
+def _swap_table_entries(arrays):
+    # two entries of column 0 off the BFS tree: only the check that column
+    # 1 inverts column 0 can see the swap
+    t = arrays["table"]
+    tree = set(zip(arrays["parent"][1:].tolist(),
+                   arrays["letter"][1:].tolist()))
+    i, j = [i for i in range(len(t)) if (i, 0) not in tree][:2]
+    t[i, 0], t[j, 0] = t[j, 0], t[i, 0]
+
+
+def _break_tree(arrays):
+    # still nondecreasing, but the last element is made its own parent
+    arrays["parent"][-1] = len(arrays["parent"]) - 1
+
+
+def _decreasing_parent(arrays):
+    arrays["parent"][-1] = 0
+
+
+def _repeat_a_point(arrays):
+    g = arrays["generators"]
+    g[0, 0] = g[0, 1]
+
+
+def _shift_layer_end(arrays):
+    arrays["layer_ends"][1] += 1
+
+
+def _wrong_version(arrays):
+    arrays["format_version"] = np.array(1)
+
+
+def _wrong_dtype(arrays):
+    arrays["table"] = arrays["table"].astype(np.int64)
+
+
+@pytest.mark.parametrize("mutate", [_swap_table_entries, _break_tree,
+                                    _decreasing_parent, _shift_layer_end,
+                                    _repeat_a_point, _wrong_version,
+                                    _wrong_dtype])
+def test_cache_rejects_inconsistent_arrays(tmp_path, mutate):
+    ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+    path = tmp_path / "quotient-fd-3.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    mutate(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(InputError):
+        ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+
+
+def _flip_table_byte(raw, table):
+    # .npz members are stored uncompressed, so the table's bytes appear
+    # verbatim; zip's CRC-32 catches the flipped one
+    i = raw.index(table.tobytes()) + 5
+    return raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw, table: raw[:len(raw) // 2],  # truncated
+    _flip_table_byte,
+])
+def test_cache_rejects_damaged_file(tmp_path, damage):
+    q = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+    path = tmp_path / "quotient-fd-3.npz"
+    path.write_bytes(damage(path.read_bytes(), q.table))
+    with pytest.raises(InputError):
+        ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+
+
+def test_cache_load_checks_the_fiber_cap(tmp_path):
+    ApproximatedGroup("cyclic", cache_dir=tmp_path).quotient(5)  # order 32
+    small = ApproximatedGroup("cyclic", cache_dir=tmp_path, fiber_cap=16)
+    with pytest.raises(ResourceError):
+        small.quotient(5)
+
+
+def test_cache_ignores_stale_v1_json(tmp_path):
+    stale = tmp_path / "quotient-fd-3.json"
+    stale.write_text(json.dumps({"format_version": 1, "family": "fd",
+                                 "n": 3, "rank": 2, "order": "99",
+                                 "generators": [["0"], ["0"]]}))
+    q = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+    assert q.order == 36  # rebuilt, not read from the stale file
+    assert (tmp_path / "quotient-fd-3.npz").exists()
 
 
 def test_cache_is_used(tmp_path):

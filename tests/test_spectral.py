@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hlslab import spectral
-from hlslab.spectral import ROUNDING_ULPS, lanczos_extreme
+from hlslab.spectral import ROUNDING_ULPS, NormBracket, lanczos_extreme
 
 
 def _hermitian(dim, dtype, seed):
@@ -155,3 +155,14 @@ def test_thick_restart_converges_on_the_squared_path():
     assert residual <= 4e-10
     assert abs(theta - 4 * np.cos(np.pi / (dim + 1)) ** 2) < 1e-12
     assert calls[0] <= 4472 // 4
+
+
+def test_bracket_max_keeps_an_unconverged_flag():
+    done = NormBracket(1.0, 2.0, "truncation", "l1")
+    short = NormBracket(0.5, 1.5, "fiber-representation", "lanczos-residual",
+                        converged=False)
+    for a, b in ((done, short), (short, done)):
+        m = a.max(b)
+        assert (m.lower, m.upper, m.converged) == (1.0, 2.0, False)
+        assert (m.lower_provenance, m.upper_provenance) == ("truncation", "l1")
+    assert done.max(done).converged
