@@ -235,11 +235,12 @@ def cmd_tau(config: ExperimentConfig) -> int:
     for n in levels:
         fd.quotient(n)
         cong.quotient(n)
-    fd_vals = [gpd.tau_spectral_gap(fd, n) for n in levels]
-    cong_vals = [gpd.tau_spectral_gap(cong, n) for n in levels]
+    fd_res = [gpd.tau_spectral_gap(fd, n) for n in levels]
+    cong_res = [gpd.tau_spectral_gap(cong, n) for n in levels]
+    cong_vals = [cv for cv, _ in cong_res]
     rows = [{"level": n, "fd_second_eigenvalue": fv,
              "congruence_second_eigenvalue": cv}
-            for n, fv, cv in zip(levels, fd_vals, cong_vals)]
+            for n, (fv, _), (cv, _) in zip(levels, fd_res, cong_res)]
     snap_path = _snapshot_path(config)
     snapshot_ok = True
     recorded = {}
@@ -264,7 +265,8 @@ def cmd_tau(config: ExperimentConfig) -> int:
     _write_report(config, "tau",
                   ["level", "fd_second_eigenvalue",
                    "congruence_second_eigenvalue"],
-                  rows, {"snapshot_ok": snapshot_ok})
+                  rows, {"snapshot_ok": snapshot_ok,
+                         "converged": all(c for _, c in fd_res + cong_res)})
     return EXIT_OK if snapshot_ok else EXIT_CHECK_FAILED
 
 

@@ -441,16 +441,17 @@ def markov_element(rank: int = 2) -> GroupAlgebraElement:
     return gen_sum.scale(Fraction(1, 2 * rank))
 
 
-def tau_spectral_gap(base: ApproximatedGroup, n: int) -> float:
-    """Second eigenvalue of the Markov operator on l2 of the level-n
-    quotient: the top eigenvalue of the quasi-regular image restricted to
-    the orthogonal complement of the constant vector."""
+def tau_spectral_gap(base: ApproximatedGroup, n: int) -> tuple[float, bool]:
+    """(value, converged): the second eigenvalue of the Markov operator on
+    l2 of the level-n quotient, i.e. the top eigenvalue of the
+    quasi-regular image restricted to the orthogonal complement of the
+    constant vector, and the flag of the Lanczos solve behind it."""
     if base.rank < 2:
         raise InputError("the tau contrast needs a rank-2 family")
     q = base.quotient(n)
     coeffs = q.pushforward(markov_element(base.rank))
     if q.order == 1:
-        return 0.0
+        return 0.0, True
     apply_m = fiber_matvec(q, coeffs)
 
     def project(v):
@@ -459,11 +460,11 @@ def tau_spectral_gap(base: ApproximatedGroup, n: int) -> float:
     def op(v):
         return project(apply_m(project(v)))
 
-    start = project(np.random.default_rng(
-        spectral.LANCZOS_SEED).standard_normal(q.order))
+    start = project(spectral.seeded_vector(q.order))
     # looked up on the module, so a patched solver sees this solve too
-    theta, _res, _conv = spectral.lanczos_extreme(op, q.order, start, 1e-11)
-    return float(theta)
+    theta, _res, converged = spectral.lanczos_extreme(op, q.order, start,
+                                                      1e-11)
+    return float(theta), converged
 
 
 # -- amenability certificates -------------------------------------------------

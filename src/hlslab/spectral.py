@@ -3,7 +3,9 @@
 The engine never reports bare point values: every norm comes back as a
 NormBracket [lower, upper] with provenance on both endpoints.  Each
 bracket comes from one Lanczos solve, and its converged flag is that
-solve's.  Lower bounds are Rayleigh quotients (always valid for the top
+solve's.  Every solve keeps a basis of at most MAX_BASIS vectors, and
+every start is drawn by seeded_vector from the standard-library
+generator, so no run loads numpy.random.  Lower bounds are Rayleigh quotients (always valid for the top
 eigenvalue of a self-adjoint operator); upper bounds combine the Ritz
 residual estimate with whatever a-priori bound (l1, Haagerup) the caller
 supplies.
@@ -11,14 +13,15 @@ supplies.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 LANCZOS_SEED = int.from_bytes(b"HLS", "big")  # 0x48 0x4C 0x53
 DEFAULT_TOL_REL = 1e-10
-MAX_BASIS = 160
-MAX_RESTARTS = 60
+MAX_BASIS = 64  # Krylov rows of every solve: 64 * order * itemsize bytes
+MAX_RESTARTS = 200  # up to 64 + 200 * 48 matvecs
 RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + Ritz residual)
 ROUNDING_ULPS = 256  # rounding allowance on theta + residual, in ulps
 
@@ -57,6 +60,14 @@ class NormBracket:
         return NormBracket(lo.lower, hi.upper,
                            lo.lower_provenance, hi.upper_provenance,
                            self.converged and other.converged)
+
+
+def seeded_vector(dim: int) -> np.ndarray:
+    """Uniform vector on [-1, 1) of length dim, the same on every run:
+    53-bit fractions from random.Random(LANCZOS_SEED).randbytes."""
+    raw = random.Random(LANCZOS_SEED).randbytes(8 * dim)
+    u = np.frombuffer(raw, dtype="<u8") >> np.uint64(11)
+    return u * 2.0 ** -52 - 1.0
 
 
 def _ritz_top(T, k):
@@ -163,8 +174,9 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
                            tol_rel: float = DEFAULT_TOL_REL) -> NormBracket:
     """Bracket for the largest singular value of M via Lanczos on M*M.
 
-    One solve from the constant vector plus the seeded Gaussian vector
-    (complex Gaussian for complex dtypes): the Gaussian part meets every
+    One solve on a MAX_BASIS-vector basis, whatever dim is, from 1 + u
+    with u = seeded_vector(dim), or from 1 + u + i u' for complex dtypes,
+    u and u' the two halves of one draw: the uniform part meets every
     eigenvector, and the constant part points at the Perron vector of a
     nonnegative M*M.  The upper endpoint is the smaller of sqrt(theta +
     residual) plus a rounding allowance, tagged "lanczos-residual", and
@@ -183,14 +195,14 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
         return _bracket(sigma, sigma, upper_bound, lower_provenance,
                         upper_provenance)
 
-    rng = np.random.default_rng(LANCZOS_SEED)
-    start = 1.0 + rng.standard_normal(dim)
     if np.issubdtype(dtype, np.complexfloating):
-        start = start + 1j * rng.standard_normal(dim)
-    basis = MAX_BASIS if dim <= 200_000 else 64  # cap memory for huge balls
+        u = seeded_vector(2 * dim)
+        start = 1.0 + u[:dim] + 1j * u[dim:]
+    else:
+        start = 1.0 + seeded_vector(dim)
     # residual tolerance for a sigma-bracket width near 2 tol_rel at sigma 1
     theta, res, converged = lanczos_extreme(apply_a, dim, start, 4 * tol_rel,
-                                            dtype, max_basis=basis)
+                                            dtype)
     sigma = float(np.sqrt(max(theta, 0.0)))
     # without the allowance, rounding can put sqrt(theta + residual) an
     # ulp below the norm it bounds (4 on fd level 4 for the generator sum)

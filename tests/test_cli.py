@@ -1,9 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hlslab
 from hlslab.cli import main
 from hlslab.words import GroupAlgebraElement, Word
 
@@ -220,6 +224,7 @@ def test_tau_table_and_snapshot(cache, tmp_path):
     assert float(by_level["3"]["congruence_second_eigenvalue"]) == \
         pytest.approx(math.sqrt(2) / 2, abs=1e-8)
     assert results["snapshot_ok"] == "true"
+    assert results["converged"] == "true"
     # second run checks against the recorded snapshot
     code = run(["tau", "--family", "fd", "--n-max", "3"], cache, out)
     assert code == 0
@@ -233,6 +238,13 @@ def test_tau_table_and_snapshot(cache, tmp_path):
     assert run(["tau", "--family", "fd", "--n-max", "3",
                 "--update-snapshots"], cache, out) == 0
     assert run(["tau", "--family", "fd", "--n-max", "3"], cache, out) == 0
+
+
+def test_tau_reports_unconverged_solves(cache, tmp_path, one_short_restart):
+    out = tmp_path / "tau.csv"
+    assert run(["tau", "--family", "fd", "--n-max", "4"], cache, out) == 0
+    _, _, results = parse_report(out.read_text())
+    assert results["converged"] == "false"
 
 
 def test_tau_rejects_cyclic(cache):
@@ -297,3 +309,27 @@ def test_reports_byte_identical_across_runs(cache, tmp_path):
     assert run(args, cache, out3) == 0
     assert run(args, cache, out4) == 0
     assert out3.read_bytes() == out4.read_bytes()
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from hlslab.cli import main
+cache, out = sys.argv[1:]
+for argv in (["tau", "--n-max", "3"],
+             ["gap", "--family", "cyclic", "--n-max", "3", "--radius", "20"]):
+    assert main(argv + ["--cache-dir", cache, "--out", out]) == 0, argv
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_solves_never_load_numpy_random(cache, tmp_path):
+    # the Lanczos starts come from the standard-library generator, so a
+    # run never pays for importing numpy.random
+    src = str(Path(hlslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, cache,
+         str(tmp_path / "r.csv")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True)
+    assert done.returncode == 0, done.stderr

@@ -628,15 +628,25 @@ def test_no_gap_for_cyclic(gcyc):
 # -- tau contrast -------------------------------------------------------------
 
 def test_tau_fd_small_levels(fd):
-    assert tau_spectral_gap(fd, 1) == pytest.approx(0.0, abs=1e-12)
-    assert tau_spectral_gap(fd, 2) == pytest.approx(0.0, abs=1e-9)
-    assert tau_spectral_gap(fd, 3) == pytest.approx(0.75, abs=1e-9)
+    assert tau_spectral_gap(fd, 1) == (0.0, True)
+    value, converged = tau_spectral_gap(fd, 2)
+    assert converged and value == pytest.approx(0.0, abs=1e-9)
+    value, converged = tau_spectral_gap(fd, 3)
+    assert converged and value == pytest.approx(0.75, abs=1e-9)
 
 
 def test_tau_congruence_levels(congruence):
-    assert tau_spectral_gap(congruence, 2) == pytest.approx(0.0, abs=1e-9)
-    assert tau_spectral_gap(congruence, 3) == pytest.approx(
-        math.sqrt(2) / 2, abs=1e-8)
+    value, converged = tau_spectral_gap(congruence, 2)
+    assert converged and value == pytest.approx(0.0, abs=1e-9)
+    value, converged = tau_spectral_gap(congruence, 3)
+    assert converged and value == pytest.approx(math.sqrt(2) / 2, abs=1e-8)
+
+
+def test_tau_reports_an_unconverged_solve(fd, one_short_restart):
+    # order 144, far more distinct eigenvalues than one 8-vector cycle sees
+    value, converged = tau_spectral_gap(fd, 4)
+    assert not converged
+    assert value < 0.933  # below the converged 0.933013
 
 
 def test_tau_rejects_rank_1(cyclic):

@@ -166,3 +166,44 @@ def test_bracket_max_keeps_an_unconverged_flag():
         assert (m.lower, m.upper, m.converged) == (1.0, 2.0, False)
         assert (m.lower_provenance, m.upper_provenance) == ("truncation", "l1")
     assert done.max(done).converged
+
+
+def test_seeded_vector_is_deterministic_and_in_range():
+    u = spectral.seeded_vector(10_000)
+    assert u.dtype == np.float64 and u.shape == (10_000,)
+    assert np.array_equal(u, spectral.seeded_vector(10_000))
+    assert u.min() >= -1.0 and u.max() < 1.0
+    assert abs(u.mean()) < 0.05 and abs(np.mean(u * u) - 1 / 3) < 0.05
+    assert spectral.seeded_vector(0).shape == (0,)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_bracket_starts_from_one_seeded_draw(monkeypatch, dtype):
+    dim, starts = 50, []
+    solve = spectral.lanczos_extreme
+
+    def recording(apply_op, dim, start, *args, **kwargs):
+        starts.append(np.array(start))
+        return solve(apply_op, dim, start, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", recording)
+    spectral.singular_value_bracket(lambda x: x, lambda x: x, dim,
+                                    dtype=dtype)
+    (start,) = starts
+    if dtype is np.complex128:
+        u = spectral.seeded_vector(2 * dim)  # disjoint halves of one draw
+        assert np.array_equal(start, 1.0 + u[:dim] + 1j * u[dim:])
+    else:
+        assert np.array_equal(start, 1.0 + spectral.seeded_vector(dim))
+
+
+def test_bracket_basis_never_exceeds_max_basis(monkeypatch):
+    # the order of fd level 5; a close top eigenvalue forces restarts
+    dim = 3600
+    diag = np.concatenate([np.linspace(0.0, 1.0, dim - 1), [1.002]])
+    apply, log = _ritz_log(monkeypatch, lambda x: diag * x)
+    b = spectral.singular_value_bracket(apply, lambda x: diag * x, dim)
+    assert b.converged
+    assert abs(b.lower - 1.002) < 1e-9 and b.upper >= 1.002
+    assert max(k for k, _, _ in log) == spectral.MAX_BASIS == 64
+    assert sum(k == spectral.MAX_BASIS for k, _, _ in log[:-1]) >= 1
