@@ -127,7 +127,9 @@ def cmd_quotients(config: ExperimentConfig) -> int:
 def _bracket_row(level, order, bracket, wall_ms, config):
     row = {"level": level, "order": order,
            "lower": bracket.lower, "upper": bracket.upper,
-           "provenance": f"{bracket.lower_provenance}|{bracket.upper_provenance}"}
+           "provenance": f"{bracket.lower_provenance}|"
+                         f"{bracket.upper_provenance}",
+           "converged": bracket.converged}
     if config.timings:
         row["wall_ms"] = wall_ms
     return row
@@ -156,7 +158,7 @@ def cmd_gap(config: ExperimentConfig) -> int:
     rows = [_bracket_row(r.level, r.order, r.bracket, wall, config)
             for r in report.rows]
     rows.append(_bracket_row("inf", "inf", report.infinity, wall, config))
-    fields = ["level", "order", "lower", "upper", "provenance"]
+    fields = ["level", "order", "lower", "upper", "provenance", "converged"]
     if config.timings:
         fields.append("wall_ms")
     summary = {

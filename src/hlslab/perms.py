@@ -1,7 +1,10 @@
-"""Permutation utilities and a deterministic Schreier-Sims order check.
+"""Permutation utilities, the Cayley-table core and a deterministic
+Schreier-Sims order check.
 
-Permutations are numpy int64/int32 arrays p with p[i] = image of point i;
-composition is (p @ q)(i) = p[q[i]].
+bfs_order closes a permutation group into its right Cayley table, and
+bfs_tree derives that table's BFS tree; propagate walks the tree through
+a table.  Permutations are numpy int64/int32 arrays p with p[i] = image
+of point i; composition is (p @ q)(i) = p[q[i]].
 """
 
 from __future__ import annotations
@@ -33,16 +36,12 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
     """Breadth-first closure of <gens>, right-multiplying by g1, g1^-1,
     g2, g2^-1, ... in turn, so the identity gets index 0.
 
-    Returns (table, parent, letter, layer_ends), or None if the group has
-    more than cap elements.  table is the right Cayley table, order x 2k
-    int32: table[i, c] is the index of element_i * (letter c), where
-    letter c is the c-th of g1, g1^-1, g2, g2^-1, ..., so column c ^ 1
-    holds the inverse letter.  The BFS tree has element_i =
-    element_parent[i] * (letter letter[i]) for i > 0; parent never
-    decreases.  BFS layer r (the elements at word length r) is
-    [layer_ends[r - 1], layer_ends[r]), with layer_ends[0] = 1 for the
-    identity and layer_ends[-1] = order.  Generators need not include
-    inverses (the group is finite).
+    Returns the right Cayley table, order x 2k int32, or None if the group
+    has more than cap elements: table[i, c] is the index of element_i *
+    (letter c), where letter c is the c-th of g1, g1^-1, g2, g2^-1, ...,
+    so column c ^ 1 holds the inverse letter.  Its BFS tree is
+    bfs_tree(table).  Generators need not include inverses (the group is
+    finite).
     """
     degree = len(gens[0])
     letters = []
@@ -54,16 +53,9 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
     found = [identity_perm(degree).tobytes()]
     seen = {found[0]: 0}
     table = array("i")
-    parent = array("i", [0])
-    letter = array("b", [0])
-    layer_ends = array("q", [1])
-    i = 0
-    while i < len(found):
-        if i == layer_ends[-1]:
-            # layer r is done, so layer r + 1 is everything found so far
-            layer_ends.append(len(found))
-        # row c is element_i * (letter c); its bytes are the element's key
-        keys = np.frombuffer(found[i], dtype=np.int32)[letters].tobytes()
+    for element in found:  # grows while it is walked
+        # row c is element * (letter c); its bytes are the element's key
+        keys = np.frombuffer(element, dtype=np.int32)[letters].tobytes()
         for c in range(len(letters)):
             k = keys[c * width:(c + 1) * width]
             j = seen.get(k)
@@ -72,21 +64,47 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
                     return None
                 j = seen[k] = len(found)
                 found.append(k)
-                parent.append(i)
-                letter.append(c)
             table.append(j)
-        i += 1
-    return (np.frombuffer(table, dtype=np.int32).reshape(i, len(letters)),
-            np.frombuffer(parent, dtype=np.int32),
-            np.frombuffer(letter, dtype=np.int8),
-            np.frombuffer(layer_ends, dtype=np.int64))
+    return np.frombuffer(table, dtype=np.int32).reshape(-1, len(letters))
+
+
+def bfs_tree(table: np.ndarray):
+    """(parent, letter, layer_ends): the BFS tree of a right Cayley table
+    in BFS order whose column c ^ 1 inverts column c (bfs_order's, or a
+    BallIndex table without its sentinel row).
+
+    element_i = element_parent[i] * (letter letter[i]) for i > 0.  The BFS
+    reaches i first from its smallest neighbour, the smallest entry of
+    row i, by the smallest c with table[parent[i], c] == i.  BFS layer r
+    (word length r) is [layer_ends[r - 1], layer_ends[r]), with
+    layer_ends[0] = 1 and layer_ends[-1] = order.  Raises ValueError
+    unless the keys parent * 2k + letter strictly increase and parent[i] <
+    i, i.e. unless the table is in BFS order.
+    """
+    order, width = table.shape
+    parent = np.zeros(order, dtype=np.int32)
+    parent[1:] = table[1:].min(axis=1)
+    letter = (table[parent] == np.arange(order)[:, None]).argmax(axis=1)
+    letter = letter.astype(np.int8)
+    letter[0] = 0
+    keys = parent[1:].astype(np.int64) * width + letter[1:]
+    if not ((np.diff(keys) > 0).all()
+            and (parent[1:] < np.arange(1, order)).all()):
+        raise ValueError("table is not in BFS order")
+    # parent is nondecreasing, so the children of [lo, hi) end at the
+    # first index whose parent is hi or more
+    child_end = np.searchsorted(parent, np.arange(order + 1))
+    layer_ends = [1]
+    while layer_ends[-1] < order:
+        layer_ends.append(int(child_end[layer_ends[-1]]))
+    return parent, letter, np.array(layer_ends, dtype=np.int64)
 
 
 def propagate(table: np.ndarray, parent: np.ndarray, letter: np.ndarray,
               layer_ends, start: int) -> np.ndarray:
     """out[i] = table-index of x * element_i, where x has index start and
     element_i runs over a BFS tree (parent, letter, layer_ends, as
-    bfs_order returns them) of the same letters: x * element_i = (x *
+    bfs_tree returns them) of the same letters: x * element_i = (x *
     element_parent[i]) * (letter letter[i]), so each BFS layer is one
     gather through the right Cayley table.  out is an intp array, so
     gathers through it need no index conversion."""

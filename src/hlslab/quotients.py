@@ -9,18 +9,17 @@ Three families are provided:
   [[1,0],[2,1]] in SL(2, Z/2^n), acting on (Z/2^n)^2.
 * ``cyclic`` (rank 1): Z/2^n with the generator mapping to 1.
 
-Each quotient is given by one permutation per generator; its elements are
-indexed 0..order-1 by Cayley-graph BFS from the identity in the fixed
-generator order (g1, g1^-1, g2, g2^-1, ...), and it keeps the right Cayley
-table of that indexing and the BFS tree, not the permutations.
+A quotient is its generator permutations and its right Cayley table:
+elements are indexed 0..order-1 by Cayley-graph BFS from the identity in
+the fixed generator order (g1, g1^-1, g2, g2^-1, ...) (perms.bfs_order),
+and the BFS tree is derived from the table (perms.bfs_tree).
 
-The disk cache stores each level as one quotient-<family>-<n>.npz: the
-generator permutations, the rank, the right Cayley table and the BFS tree
-with its layer ends.  A load reads those arrays and checks them in a few
-vectorised passes (shapes, ranges, tree edges, inverse letter pairs)
-instead of redoing the BFS; zip's CRC-32 catches corrupt bytes.  The tie
-to the generators is the Schreier-Sims order check the quotients report
-runs on every level.
+The disk cache stores each level as one quotient-<family>-<n>.v3.npz
+holding format_version, the generators and the table.  A load reads them
+and checks them in a few vectorised passes (shapes, ranges, inverse
+letter pairs, and bfs_tree's BFS-order check) instead of redoing the BFS;
+zip's CRC-32 catches corrupt bytes.  The tie to the generators is the
+Schreier-Sims order check the quotients report runs on every level.
 
 Nesting and separation go through the same tables: kernel_refines is one
 propagation of a level's BFS tree through the level below, and
@@ -40,16 +39,12 @@ import numpy as np
 
 from .balls import BallIndex
 from .errors import InputError, ResourceError
-from .perms import bfs_order, propagate, schreier_sims_order
+from .perms import bfs_order, bfs_tree, propagate, schreier_sims_order
 from .words import GroupAlgebraElement, Word, letter_rank
 
-CACHE_FORMAT_VERSION = 2
-# the arrays of a cache file besides format_version, in from_cache_dict order
-CACHE_DTYPES = {"rank": np.int64, "generators": np.int32, "table": np.int32,
-                "parent": np.int32, "letter": np.int8, "layer_ends": np.int64}
+CACHE_FORMAT_VERSION = 3
 DEFAULT_FIBER_CAP = 2_000_000
 DEFAULT_HOM_LEVEL_CAP = 6
-MAX_CONGRUENCE_DEGREE = 50_000_000
 
 FAMILIES = ("fd", "congruence", "cyclic")
 FAMILY_RANK = {"fd": 2, "congruence": 2, "cyclic": 1}
@@ -64,10 +59,11 @@ class FiniteQuotient:
     Elements are indexed by BFS over the Cayley graph (right
     multiplication by g1, g1^-1, g2, g2^-1, ... in that order), so the
     identity has index 0 and indices are reproducible.  The quotient keeps
-    only its right Cayley table and BFS tree (perms.bfs_order); every
-    group operation is a walk through the table.  A quotient read back
-    from the disk cache (from_cache_dict) takes the stored table and tree
-    as they are, after checking them, and runs no BFS.
+    its generators, its right Cayley table (perms.bfs_order) and the BFS
+    tree derived from that table (perms.bfs_tree); every group operation
+    is a walk through the table.  A quotient read back from the disk cache
+    (from_cache_dict) takes the stored table as it is, after checking it,
+    and runs no BFS.
     """
 
     def __init__(self, gen_perms: list[np.ndarray], rank: int,
@@ -77,17 +73,28 @@ class FiniteQuotient:
         gen_perms = [np.asarray(g, dtype=np.int32) for g in gen_perms]
         if any(len(g) != len(gen_perms[0]) for g in gen_perms):
             raise InputError("generator permutations have mixed degrees")
-        closure = bfs_order(gen_perms, cap)
-        if closure is None:
+        table = bfs_order(gen_perms, cap)
+        if table is None:
             raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
-        self._adopt(gen_perms, closure)
+        self._adopt(gen_perms, table)
 
-    def _adopt(self, gen_perms: list[np.ndarray], closure) -> None:
+    @classmethod
+    def _from_table(cls, gen_perms: list[np.ndarray],
+                    table: np.ndarray) -> "FiniteQuotient":
+        """The quotient of gen_perms whose right Cayley table, in BFS
+        order, the caller already has; no BFS runs."""
+        q = cls.__new__(cls)
+        q._adopt(gen_perms, table)
+        return q
+
+    def _adopt(self, gen_perms: list[np.ndarray], table: np.ndarray) -> None:
+        # every quotient, built or loaded, derives its BFS tree here
         self.rank = len(gen_perms)
         self.gen_perms = gen_perms
         self.degree = len(gen_perms[0])
-        self.table, self.parent, self.letter, self.layer_ends = closure
-        self.order = len(self.table)
+        self.table = table
+        self.order = len(table)
+        self.parent, self.letter, self.layer_ends = bfs_tree(table)
         self._left_tables: dict[int, np.ndarray] = {}
 
     # -- group structure on element indices --------------------------------
@@ -147,34 +154,25 @@ class FiniteQuotient:
     def to_cache_dict(self) -> dict[str, np.ndarray]:
         """The arrays of this quotient's cache file (np.savez keywords)."""
         return {"format_version": np.array(CACHE_FORMAT_VERSION),
-                "rank": np.array(self.rank, dtype=np.int64),
-                "generators": np.stack(self.gen_perms),
-                "table": self.table, "parent": self.parent,
-                "letter": self.letter, "layer_ends": self.layer_ends}
+                "generators": np.stack(self.gen_perms), "table": self.table}
 
     @staticmethod
     def from_cache_dict(data, cap: int = DEFAULT_FIBER_CAP) -> "FiniteQuotient":
         """The quotient whose to_cache_dict arrays data maps to (an open
         .npz file will do), without a BFS.  Raises ResourceError if its
-        order exceeds cap, and InputError unless the table is a right
-        Cayley table in inverse letter pairs and parent, letter and
-        layer_ends a BFS tree of it; each check is one vectorised pass."""
+        order exceeds cap, InputError unless the table is a right Cayley
+        table in inverse letter pairs, and ValueError (from bfs_tree)
+        unless it is in BFS order; each check is one vectorised pass."""
         if data["format_version"] != CACHE_FORMAT_VERSION:
             raise InputError("unsupported cache format version")
-        arrays = []
-        for name, dtype in CACHE_DTYPES.items():
-            a = data[name]
-            if a.dtype != dtype:
-                raise InputError(f"cached {name} has dtype {a.dtype}")
-            arrays.append(a)
-        rank, gens, table, parent, letter, ends = arrays
-        if not (rank.shape == () and rank >= 1 and gens.ndim == 2
-                and gens.shape[0] == rank and gens.shape[1] >= 1
-                and table.ndim == 2 and table.shape[1] == 2 * rank
-                and parent.shape == letter.shape == table.shape[:1]
-                and len(table) >= 1 and ends.ndim == 1 and len(ends) >= 1):
+        gens, table = data["generators"], data["table"]
+        if gens.dtype != np.int32 or table.dtype != np.int32:
+            raise InputError("cached arrays are not int32")
+        if not (gens.ndim == 2 and gens.shape[0] >= 1 and gens.shape[1] >= 1
+                and table.ndim == 2 and table.shape[1] == 2 * gens.shape[0]
+                and len(table) >= 1):
             raise InputError("cached quotient arrays have mismatched shapes")
-        rank, order = int(rank), len(table)
+        rank, order = gens.shape[0], len(table)
         if order > cap:
             raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
         # hit[i, j]: point j is the image of some point under generator i
@@ -183,23 +181,12 @@ class FiniteQuotient:
             hit[np.arange(rank)[:, None], gens] = True
         if not hit.all():
             raise InputError("cached generators are not permutations")
-        if (np.diff(parent) < 0).any():
-            raise InputError("cached BFS tree parent decreases")
-        if not (0 <= table.min() and table.max() < order
-                and 0 <= letter.min() and letter.max() < 2 * rank
-                and 0 <= parent[0] and parent[-1] < order):
+        if not (0 <= table.min() and table.max() < order):
             raise InputError("cached quotient entries out of range")
-        if not (table[parent[1:], letter[1:]] == np.arange(1, order)).all():
-            raise InputError("cached BFS tree disagrees with the table")
-        if not (ends[0] == 1 and ends[-1] == order and np.array_equal(
-                np.searchsorted(parent, ends[:-1]), ends[1:])):
-            raise InputError("cached BFS layer ends disagree with the tree")
         inverse_cols = np.arange(2 * rank) ^ 1
         if not (table[table, inverse_cols] == np.arange(order)[:, None]).all():
             raise InputError("cached table columns are not inverse pairs")
-        q = FiniteQuotient.__new__(FiniteQuotient)
-        q._adopt(list(gens), (table, parent, letter, ends))
-        return q
+        return FiniteQuotient._from_table(list(gens), table)
 
 
 def kernel_refines(p: FiniteQuotient, q: FiniteQuotient) -> bool:
@@ -254,7 +241,8 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
     Simultaneous conjugation keeps the kernel, so sigma runs over one
     representative per cycle type.  BFS indexing is canonical for a
     labelled Cayley graph, so two kernels are equal exactly when the right
-    Cayley tables are byte-identical; deduplication is by table bytes.
+    Cayley tables are byte-identical; deduplication is by table bytes, and
+    only a table not seen before becomes a quotient.
     """
     if n < 1:
         raise InputError("level must be >= 1")
@@ -265,14 +253,13 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
             for t in itertools.permutations(range(n))]
     for sigma in _class_reps(n):
         for tau in taus:
-            try:
-                cand = FiniteQuotient([sigma, tau], rank=2, cap=n)
-            except ResourceError:
+            table = bfs_order([sigma, tau], cap=n)
+            if table is None:
                 continue
-            key = cand.table.tobytes()
+            key = table.tobytes()
             if key not in seen:
                 seen.add(key)
-                reps.append(cand)
+                reps.append(FiniteQuotient._from_table([sigma, tau], table))
     return reps
 
 
@@ -332,21 +319,21 @@ class ApproximatedGroup:
     def _cache_path(self, n: int) -> Path | None:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"quotient-{self.family}-{n}.npz"
+        return self.cache_dir / f"quotient-{self.family}-{n}.v3.npz"
 
     def check_level(self, n: int) -> None:
-        """Raises ResourceError if building level n would exceed a cap."""
+        """Raises ResourceError if building level n would exceed a cap:
+        the homomorphism enumeration cap for fd, else the fiber cap
+        against the closed-form order."""
         if self.family == "fd":
             _check_hom_level(n, self.hom_level_cap)
-        elif self.family == "congruence":
-            degree = 4 ** n
-            if degree > MAX_CONGRUENCE_DEGREE:
-                raise ResourceError(
-                    f"congruence level {n} needs degree {degree}, beyond "
-                    f"desk scale")
-        elif 2 ** n > self.fiber_cap:
+            return
+        # the Sanov image in SL(2, Z/2^n) has order 2^(3n - 4) for n >= 2
+        order = 2 ** n if self.family == "cyclic" else 2 ** max(3 * n - 4, 0)
+        if order > self.fiber_cap:
             raise ResourceError(
-                f"cyclic level {n} exceeds the fiber cap {self.fiber_cap}")
+                f"{self.family} level {n} has order {order}, above the "
+                f"fiber cap {self.fiber_cap}")
 
     def check_levels(self, levels) -> None:
         """Raises ResourceError, before anything is built, if building one

@@ -5,10 +5,10 @@ NormBracket [lower, upper] with provenance on both endpoints.  Each
 bracket comes from one Lanczos solve, and its converged flag is that
 solve's.  Every solve keeps a basis of at most MAX_BASIS vectors, and
 every start is drawn by seeded_vector from the standard-library
-generator, so no run loads numpy.random.  Lower bounds are Rayleigh quotients (always valid for the top
-eigenvalue of a self-adjoint operator); upper bounds combine the Ritz
-residual estimate with whatever a-priori bound (l1, Haagerup) the caller
-supplies.
+generator, so no run loads numpy.random.  Lower bounds are Rayleigh
+quotients (always valid for the top eigenvalue of a self-adjoint
+operator); upper bounds combine the Ritz residual estimate with whatever
+a-priori bound (l1, Haagerup) the caller supplies.
 """
 
 from __future__ import annotations
@@ -152,23 +152,20 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
 
 
 def _bracket(sigma: float, sigma_hi: float, upper_bound: float | None,
-             lower_provenance: str, upper_provenance: str,
-             converged: bool = True) -> NormBracket:
-    """[sigma, min(sigma_hi, upper_bound)]; the upper endpoint keeps the
-    caller's tag only when the caller's bound is the smaller one.  A sigma
-    rounded above that endpoint is clipped to it, so the caller's bound
-    stays a bound."""
+             lower_provenance: str, converged: bool = True) -> NormBracket:
+    """[sigma, min(sigma_hi, upper_bound)]; the upper endpoint is tagged
+    "l1" only when the caller's bound is the smaller one.  A sigma rounded
+    above that endpoint is clipped to it, so the caller's bound stays a
+    bound."""
+    upper, upper_provenance = upper_bound, "l1"
     if upper_bound is None or sigma_hi < upper_bound:
         upper, upper_provenance = sigma_hi, RESIDUAL_PROVENANCE
-    else:
-        upper = upper_bound
     return NormBracket(min(sigma, upper), upper, lower_provenance,
                        upper_provenance, converged)
 
 
 def singular_value_bracket(apply_m, apply_m_star, dim: int,
                            upper_bound: float | None = None,
-                           upper_provenance: str = "l1",
                            lower_provenance: str = "fiber-representation",
                            dtype=np.float64,
                            tol_rel: float = DEFAULT_TOL_REL) -> NormBracket:
@@ -180,11 +177,11 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     eigenvector, and the constant part points at the Perron vector of a
     nonnegative M*M.  The upper endpoint is the smaller of sqrt(theta +
     residual) plus a rounding allowance, tagged "lanczos-residual", and
-    the caller's upper_bound, tagged upper_provenance.  converged is the
-    solve's flag; the endpoints are valid either way.
+    the caller's upper_bound, tagged "l1".  converged is the solve's
+    flag; the endpoints are valid either way.
     """
     if dim == 0:
-        return NormBracket(0.0, 0.0, lower_provenance, upper_provenance)
+        return NormBracket(0.0, 0.0, lower_provenance, "l1")
 
     def apply_a(x):
         return apply_m_star(apply_m(x))
@@ -192,8 +189,7 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     if dim == 1:
         v = np.ones(1, dtype=dtype)
         sigma = float(np.sqrt(max(np.real(apply_a(v)[0]), 0.0)))
-        return _bracket(sigma, sigma, upper_bound, lower_provenance,
-                        upper_provenance)
+        return _bracket(sigma, sigma, upper_bound, lower_provenance)
 
     if np.issubdtype(dtype, np.complexfloating):
         u = seeded_vector(2 * dim)
@@ -208,5 +204,4 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     # ulp below the norm it bounds (4 on fd level 4 for the generator sum)
     slack = ROUNDING_ULPS * np.finfo(float).eps * max(abs(theta), 1.0)
     sigma_hi = float(np.sqrt(max(theta + res + slack, 0.0)))
-    return _bracket(sigma, sigma_hi, upper_bound, lower_provenance,
-                    upper_provenance, converged)
+    return _bracket(sigma, sigma_hi, upper_bound, lower_provenance, converged)

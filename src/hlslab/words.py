@@ -83,10 +83,6 @@ class Word:
         check_letters(letters, rank)
         return Word._unchecked(free_reduce(letters), rank)
 
-    @staticmethod
-    def generator(i: int, rank: int = 2) -> "Word":
-        return Word((i,), rank)
-
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -2,7 +2,9 @@
 
 Everything here is checked against plain permutation arithmetic written
 in this file: numpy fancy indexing for composition, argsort for inverses,
-and a FIFO closure over permutation bytes for the indexing.
+and a FIFO closure over permutation bytes for the indexing and the BFS
+tree.  The tree a table yields (perms.bfs_tree) is also checked against
+the shortlex tree BallIndex builds for itself.
 """
 
 import itertools
@@ -10,7 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
+from hlslab.balls import BallIndex
 from hlslab.errors import ResourceError
+from hlslab.perms import bfs_tree
 from hlslab.quotients import (FiniteQuotient, _class_reps,
                               enumerate_kernel_reps, kernel_refines)
 from hlslab.words import ball, letter_rank
@@ -24,17 +28,21 @@ def letter_perms(gens):
 def fifo_closure(gens):
     """Index of every element of <gens> (permutation bytes -> index), in
     FIFO discovery order by right multiplication with the letters in rank
-    order.  Composition (p q)(i) = p[q[i]]."""
+    order, and the discovery tree: tree[i] = (index, letter rank) of the
+    element and letter that first reached element i.  Composition (p q)(i)
+    = p[q[i]]."""
     letters = letter_perms(gens)
     elements = [np.arange(len(gens[0]), dtype=np.int32)]
     index = {elements[0].tobytes(): 0}
-    for g in elements:  # grows while it is walked
-        for s in letters:
+    tree = [(0, 0)]
+    for i, g in enumerate(elements):  # grows while it is walked
+        for c, s in enumerate(letters):
             h = g[s]
             if h.tobytes() not in index:
                 index[h.tobytes()] = len(elements)
                 elements.append(h)
-    return index
+                tree.append((i, c))
+    return index, tree
 
 
 def tree_perms(q):
@@ -53,7 +61,7 @@ def paired_refines(p, q):
     injectively exactly when the kernels nest."""
     paired = [np.concatenate([gp, gq + p.degree]).astype(np.int32)
               for gp, gq in zip(p.gen_perms, q.gen_perms)]
-    return len(fifo_closure(paired)) == p.order
+    return len(fifo_closure(paired)[0]) == p.order
 
 
 FAMILY_LEVELS = [("fd", n) for n in range(1, 5)] + \
@@ -81,7 +89,7 @@ def test_table_is_right_multiplication_of_tree_perms(towers, family, n):
 @pytest.mark.parametrize("family,n", FAMILY_LEVELS)
 def test_evaluate_matches_fifo_closure(towers, family, n):
     q = towers[family].quotient(n)
-    index = fifo_closure(q.gen_perms)
+    index, _ = fifo_closure(q.gen_perms)
     assert len(index) == q.order
     letters = letter_perms(q.gen_perms)
     for w in ball(4, q.rank):
@@ -89,6 +97,39 @@ def test_evaluate_matches_fifo_closure(towers, family, n):
         for letter in w.letters:
             p = p[letters[letter_rank(letter)]]
         assert q.evaluate(w) == index[p.tobytes()]
+
+
+@pytest.mark.parametrize("family,n", FAMILY_LEVELS)
+def test_tree_matches_fifo_discovery(towers, family, n):
+    q = towers[family].quotient(n)
+    _, tree = fifo_closure(q.gen_perms)
+    assert [(int(p), int(c)) for p, c in zip(q.parent, q.letter)] == tree
+    depth = [0] * q.order
+    for i in range(1, q.order):
+        depth[i] = depth[tree[i][0]] + 1
+    ends = np.cumsum(np.bincount(depth))
+    assert np.array_equal(q.layer_ends, ends)
+
+
+@pytest.mark.parametrize("rank,radius", [(1, 20), (2, 5)])
+def test_tree_of_a_ball_table_is_its_shortlex_tree(rank, radius):
+    bi = BallIndex(rank, radius)
+    parent, letter, layer_ends = bfs_tree(bi.table[:-1])  # no sentinel row
+    assert np.array_equal(parent, bi.parent)
+    assert np.array_equal(letter, bi.letter)
+    assert layer_ends.tolist() == bi.layer_ends
+
+
+def test_tree_refuses_tables_out_of_bfs_order():
+    # Z/3 in BFS order: e, a, A
+    z3 = np.array([[1, 2], [2, 0], [0, 1]], dtype=np.int32)
+    assert [a.tolist() for a in bfs_tree(z3)] == [[0, 0, 0], [0, 0, 1],
+                                                  [1, 3]]
+    with pytest.raises(ValueError):  # a and A trade indices
+        bfs_tree(np.array([[2, 1], [0, 2], [1, 0]], dtype=np.int32))
+    # two copies of Z/2: element 2 is never reached from the identity
+    with pytest.raises(ValueError):
+        bfs_tree(np.array([[1, 1], [0, 0], [3, 3], [2, 2]], dtype=np.int32))
 
 
 @pytest.mark.parametrize("family", ["fd", "congruence"])

@@ -83,6 +83,8 @@ def test_quotients_resource_error(cache):
     ["gap", "--family", "fd", "--n-max", "7"],
     ["gap", "--family", "cyclic", "--n-max", "5", "--fiber-cap", "16"],
     ["tau", "--family", "fd", "--n-max", "13", "--hom-level-cap", "13"],
+    ["quotients", "--family", "congruence", "--n-max", "6", "--fiber-cap",
+     "2048"],
 ])
 def test_caps_checked_before_building(cache, args):
     assert run(args, cache) == 3
@@ -136,6 +138,32 @@ def test_gap_reports_unconverged_infinity(cache, tmp_path,
     _, _, results = parse_report(out.read_text())
     assert results["infinity_converged"] == "false"
     assert float(results["infinity_lower"]) <= 2 * math.cos(math.pi / 62)
+
+
+SIGNED = element_json([("a", 1), ("A", 1), ("b", -1), ("B", -1),
+                       ("ab", 1), ("BA", 1)], 2)
+
+
+def test_gap_rows_report_convergence(cache, tmp_path):
+    out = tmp_path / "gap.csv"
+    assert run(["gap", "--family", "fd", "--n-max", "4", "--radius", "3",
+                "--element", SIGNED], cache, out) == 0
+    _, rows, _ = parse_report(out.read_text())
+    assert [r["level"] for r in rows] == ["1", "2", "3", "4", "inf"]
+    assert all(r["converged"] == "true" for r in rows)
+
+
+def test_gap_rows_report_an_unconverged_level(cache, tmp_path,
+                                              one_short_restart):
+    # level 4 reads just under its norm 6, so monotone_ok fails; the row's
+    # flag says why
+    out = tmp_path / "gap.csv"
+    assert run(["gap", "--family", "fd", "--n-max", "4", "--radius", "3",
+                "--element", SIGNED], cache, out) == 1
+    _, rows, results = parse_report(out.read_text())
+    assert rows[3]["level"] == "4" and float(rows[3]["lower"]) < 6
+    assert rows[3]["converged"] == "false"
+    assert results["monotone_ok"] == "false"
 
 
 def test_gap_radial_truncation_past_the_ball_cap(cache, tmp_path):

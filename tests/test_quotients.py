@@ -9,6 +9,7 @@ import pytest
 from hlslab import quotients
 from hlslab.cli import SEPARATION_BALL_WORDS
 from hlslab.errors import InputError, ResourceError
+from hlslab.perms import bfs_tree
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
                               enumerate_kernel_reps, kernel_refines)
 from hlslab.words import Word, ball, ball_size
@@ -110,8 +111,10 @@ def test_cyclic_orders(cyclic):
 
 
 def test_congruence_orders(congruence):
-    assert [congruence.quotient(n).order for n in range(1, 5)] == \
-        [1, 4, 32, 256]
+    # |SL(2, Z/2^n) image of the Sanov group| = 2^(3n - 4) for n >= 2
+    assert [congruence.quotient(n).order for n in range(1, 6)] == \
+        [1] + [2 ** (3 * n - 4) for n in range(2, 6)] == \
+        [1, 4, 32, 256, 2048]
 
 
 def test_order_divisibility(fd, congruence, cyclic):
@@ -140,8 +143,9 @@ def test_fiber_cap():
 
 @pytest.mark.parametrize("family,kwargs,ok,too_deep", [
     ("fd", {"hom_level_cap": 4}, 4, 5),
-    ("congruence", {}, 12, 13),        # degree 4^13 > 50M
+    ("congruence", {"fiber_cap": 2048}, 5, 6),  # orders 2^11 and 2^14
     ("cyclic", {"fiber_cap": 64}, 6, 7),
+    ("congruence", {}, 8, 9),  # 2^20 and 2^23 against 2,000,000
 ])
 def test_check_level_is_a_priori(family, kwargs, ok, too_deep):
     base = ApproximatedGroup(family, **kwargs)
@@ -297,14 +301,16 @@ def test_separation_level_depth_cap(fd):
 
 def test_cache_round_trip(tmp_path, monkeypatch):
     ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
-    assert (tmp_path / "quotient-fd-3.npz").exists()
+    with np.load(tmp_path / "quotient-fd-3.v3.npz") as data:
+        assert sorted(data.files) == ["format_version", "generators",
+                                      "table"]
     fresh = ApproximatedGroup("fd").quotient(3)
     calls = []
     bfs = quotients.bfs_order
     monkeypatch.setattr(quotients, "bfs_order",
                         lambda *a, **k: calls.append(a) or bfs(*a, **k))
     reloaded = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
-    assert calls == []  # a load is a read, not a BFS
+    assert calls == []  # a load is a read, not a BFS; the tree is derived
     assert (reloaded.order, reloaded.degree, reloaded.rank) == \
         (fresh.order, fresh.degree, fresh.rank)
     for name in ("table", "parent", "letter", "layer_ends"):
@@ -316,31 +322,39 @@ def test_cache_round_trip(tmp_path, monkeypatch):
 
 
 def _swap_table_entries(arrays):
-    # two entries of column 0 off the BFS tree: only the check that column
-    # 1 inverts column 0 can see the swap
+    # two entries of column 0 off the BFS tree: column 1 no longer inverts
+    # column 0
     t = arrays["table"]
-    tree = set(zip(arrays["parent"][1:].tolist(),
-                   arrays["letter"][1:].tolist()))
+    parent, letter, _ = bfs_tree(t)
+    tree = set(zip(parent[1:].tolist(), letter[1:].tolist()))
     i, j = [i for i in range(len(t)) if (i, 0) not in tree][:2]
     t[i, 0], t[j, 0] = t[j, 0], t[i, 0]
 
 
-def _break_tree(arrays):
-    # still nondecreasing, but the last element is made its own parent
-    arrays["parent"][-1] = len(arrays["parent"]) - 1
+def _relabel_two_elements(arrays):
+    # elements 1 and order - 1 trade indices: still a right Cayley table
+    # in inverse letter pairs, but not in BFS order
+    t = arrays["table"]
+    swap = np.arange(len(t), dtype=t.dtype)
+    swap[[1, -1]] = swap[[-1, 1]]
+    arrays["table"] = swap[t[swap]]
 
 
-def _decreasing_parent(arrays):
-    arrays["parent"][-1] = 0
+def _entry_out_of_range(arrays):
+    arrays["table"][0, 0] = len(arrays["table"])
+
+
+def _drop_a_column(arrays):
+    arrays["table"] = np.ascontiguousarray(arrays["table"][:, :3])
+
+
+def _missing_table(arrays):
+    del arrays["table"]
 
 
 def _repeat_a_point(arrays):
     g = arrays["generators"]
     g[0, 0] = g[0, 1]
-
-
-def _shift_layer_end(arrays):
-    arrays["layer_ends"][1] += 1
 
 
 def _wrong_version(arrays):
@@ -351,18 +365,26 @@ def _wrong_dtype(arrays):
     arrays["table"] = arrays["table"].astype(np.int64)
 
 
-@pytest.mark.parametrize("mutate", [_swap_table_entries, _break_tree,
-                                    _decreasing_parent, _shift_layer_end,
-                                    _repeat_a_point, _wrong_version,
-                                    _wrong_dtype])
+# each mutation and the check that must refuse it
+MUTATIONS = {_swap_table_entries: "not inverse pairs",
+             _relabel_two_elements: "not in BFS order",
+             _entry_out_of_range: "out of range",
+             _drop_a_column: "mismatched shapes",
+             _missing_table: "not a file in the archive",
+             _repeat_a_point: "not permutations",
+             _wrong_version: "format version",
+             _wrong_dtype: "not int32"}
+
+
+@pytest.mark.parametrize("mutate", list(MUTATIONS))
 def test_cache_rejects_inconsistent_arrays(tmp_path, mutate):
     ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
-    path = tmp_path / "quotient-fd-3.npz"
+    path = tmp_path / "quotient-fd-3.v3.npz"
     with np.load(path) as data:
         arrays = dict(data)
     mutate(arrays)
     np.savez(path, **arrays)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=MUTATIONS[mutate]):
         ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
 
 
@@ -379,7 +401,7 @@ def _flip_table_byte(raw, table):
 ])
 def test_cache_rejects_damaged_file(tmp_path, damage):
     q = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
-    path = tmp_path / "quotient-fd-3.npz"
+    path = tmp_path / "quotient-fd-3.v3.npz"
     path.write_bytes(damage(path.read_bytes(), q.table))
     with pytest.raises(InputError):
         ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
@@ -399,7 +421,22 @@ def test_cache_ignores_stale_v1_json(tmp_path):
                                  "generators": [["0"], ["0"]]}))
     q = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
     assert q.order == 36  # rebuilt, not read from the stale file
-    assert (tmp_path / "quotient-fd-3.npz").exists()
+    assert (tmp_path / "quotient-fd-3.v3.npz").exists()
+
+
+def test_cache_ignores_stale_v2_npz(tmp_path):
+    # format 2 stored the rank and the BFS tree besides the table
+    stale = tmp_path / "quotient-fd-3.npz"
+    np.savez(stale, format_version=np.array(2), rank=np.array(2),
+             generators=np.zeros((2, 1), np.int32),
+             table=np.zeros((99, 4), np.int32),
+             parent=np.zeros(99, np.int32), letter=np.zeros(99, np.int8),
+             layer_ends=np.array([1, 99]))
+    before = stale.read_bytes()
+    q = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
+    assert q.order == 36  # rebuilt, not read from the stale file
+    assert (tmp_path / "quotient-fd-3.v3.npz").exists()
+    assert stale.read_bytes() == before
 
 
 def test_cache_is_used(tmp_path):
