@@ -99,5 +99,13 @@ def real_part(c):
     return c
 
 
+def imag_part(c):
+    if isinstance(c, RationalComplex):
+        return c.im
+    if isinstance(c, complex):
+        return c.imag
+    return 0
+
+
 def is_exact(c) -> bool:
     return isinstance(c, (int, Fraction, RationalComplex))

@@ -21,7 +21,7 @@ import numpy as np
 from . import spectral
 from .balls import BallIndex
 from .errors import DegenerateCertificateError, InputError, ResourceError
-from .exact import RationalComplex, is_exact, real_part
+from .exact import imag_part, is_exact, real_part
 from .quotients import ApproximatedGroup, FiniteQuotient
 from .spectral import ROUNDING_ULPS, NormBracket, singular_value_bracket
 from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
@@ -157,11 +157,8 @@ def standard_lift(x: GroupAlgebraElement, groupoid: HLSGroupoid,
 # -- fiber representations and norm brackets --------------------------------
 
 def _fiber_dtype(coeffs: dict):
-    for c in coeffs.values():
-        if isinstance(c, complex) and c.imag != 0:
-            return np.complex128
-        if isinstance(c, RationalComplex) and c.im != 0:
-            return np.complex128
+    if any(imag_part(c) != 0 for c in coeffs.values()):
+        return np.complex128
     return np.float64
 
 
@@ -199,7 +196,17 @@ def fiber_matvec(q: FiniteQuotient, coeffs: dict):
 
 
 def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict) -> NormBracket:
-    """Certified bracket for the operator norm of the fiber representation."""
+    """Certified bracket for the operator norm of the fiber representation.
+
+    The fiber is the regular representation of a finite group.  When
+    every coefficient is real and >= 0, rho(f) is a nonnegative matrix
+    whose rows and columns all sum to sum f, so the constant vector is its
+    Perron vector and the norm is sum f.  One matvec then gives the lower
+    endpoint, the Rayleigh quotient mean(rho(f) 1) clipped to the upper
+    one, tagged "constant-vector"; the upper endpoint is the l1 norm (also
+    the Schur test with constant weight), and no solve runs.  Every other
+    element takes one Lanczos solve on rho(f)* rho(f)
+    (singular_value_bracket)."""
     coeffs = _clean(coeffs)
     if not coeffs:
         return NormBracket(0.0, 0.0, "fiber-representation", "l1")
@@ -208,6 +215,9 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict) -> NormBracket:
         v = abs(sum(complex(c) for c in coeffs.values()))
         return NormBracket(v, v, "trivial-representation",
                            "trivial-representation")
+    if all(imag_part(c) == 0 and real_part(c) >= 0 for c in coeffs.values()):
+        rayleigh = float(fiber_matvec(q, coeffs)(np.ones(q.order)).mean())
+        return NormBracket(min(rayleigh, l1), l1, "constant-vector", "l1")
     return singular_value_bracket(
         fiber_matvec(q, coeffs),
         fiber_matvec(q, adjoint_coeffs(coeffs, q.invert_element)), q.order,
@@ -240,7 +250,8 @@ def _radial_bracket(c: float, rank: int, radius: int,
     t is the root in (0, pi/(r+1)) of 2q^2 cos t sin((r+1) t) =
     b0^2 sin(r t).  Whatever the accuracy of t, the Rayleigh quotient of
     phi (that of the lifted radial vector on M) is a lower endpoint and
-    max_j (T phi)_j / phi_j (Collatz-Wielandt) an upper one.
+    max_j (T phi)_j / phi_j (Collatz-Wielandt) an upper one; each is
+    moved outward by ROUNDING_ULPS ulps of max(value, 1).
     """
     if radius + 1 > ball_cap:
         raise ResourceError(
@@ -271,10 +282,12 @@ def _radial_bracket(c: float, rank: int, radius: int,
     t_phi = np.zeros(radius + 1)
     t_phi[:-1] += off * phi[1:]
     t_phi[1:] += off * phi[:-1]
-    lower = float(phi @ t_phi / (phi @ phi))
+    rayleigh = float(phi @ t_phi / (phi @ phi))
     cw = float(np.max(t_phi / phi))
-    upper = cw + ROUNDING_ULPS * float(np.finfo(float).eps) * max(cw, 1.0)
-    return NormBracket(min(lower, upper), upper, "truncation",
+    ulps = ROUNDING_ULPS * float(np.finfo(float).eps)
+    lower = rayleigh - ulps * max(rayleigh, 1.0)
+    upper = cw + ulps * max(cw, 1.0)
+    return NormBracket(max(lower, 0.0), upper, "truncation",
                        "collatz-wielandt")
 
 
@@ -471,9 +484,7 @@ def tau_spectral_gap(base: ApproximatedGroup, n: int) -> tuple[float, bool]:
 
 def _check_unit_range(value) -> None:
     r = real_part(value)
-    im = value.im if isinstance(value, RationalComplex) else (
-        value.imag if isinstance(value, complex) else 0)
-    if im != 0 or r < 0 or r > 1:
+    if imag_part(value) != 0 or r < 0 or r > 1:
         raise InputError(f"certificate value {value!r} outside [0, 1]")
 
 

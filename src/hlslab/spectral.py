@@ -1,14 +1,16 @@
 """Certified operator norm brackets via thick-restart Lanczos iteration.
 
 The engine never reports bare point values: every norm comes back as a
-NormBracket [lower, upper] with provenance on both endpoints.  Each
-bracket comes from one Lanczos solve, and its converged flag is that
-solve's.  Every solve keeps a basis of at most MAX_BASIS vectors, and
-every start is drawn by seeded_vector from the standard-library
-generator, so no run loads numpy.random.  Lower bounds are Rayleigh
-quotients (always valid for the top eigenvalue of a self-adjoint
-operator); upper bounds combine the Ritz residual estimate with whatever
-a-priori bound (l1, Haagerup) the caller supplies.
+NormBracket [lower, upper] with provenance on both endpoints.  A bracket
+of a signed or complex element comes from one Lanczos solve, and its
+converged flag is that solve's; nonnegative fiber elements and the
+radial truncation need none (groupoid).  Every solve keeps a basis of at
+most MAX_BASIS vectors, and every start is drawn by seeded_vector from
+the standard-library generator, so no run loads numpy.random.  Lower
+bounds are Rayleigh quotients (always valid for the top eigenvalue of a
+self-adjoint operator) less a rounding allowance; upper bounds combine
+the Ritz residual estimate with whatever a-priori bound (l1, Haagerup)
+the caller supplies.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ DEFAULT_TOL_REL = 1e-10
 MAX_BASIS = 64  # Krylov rows of every solve: 64 * order * itemsize bytes
 MAX_RESTARTS = 200  # up to 64 + 200 * 48 matvecs
 RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + Ritz residual)
-ROUNDING_ULPS = 256  # rounding allowance on theta + residual, in ulps
+ROUNDING_ULPS = 256  # rounding allowance on both endpoints, in ulps
 
 
 @dataclass(frozen=True)
@@ -175,10 +177,11 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     with u = seeded_vector(dim), or from 1 + u + i u' for complex dtypes,
     u and u' the two halves of one draw: the uniform part meets every
     eigenvector, and the constant part points at the Perron vector of a
-    nonnegative M*M.  The upper endpoint is the smaller of sqrt(theta +
-    residual) plus a rounding allowance, tagged "lanczos-residual", and
-    the caller's upper_bound, tagged "l1".  converged is the solve's
-    flag; the endpoints are valid either way.
+    nonnegative M*M.  The lower endpoint is sqrt(theta) less a rounding
+    allowance; the upper one is the smaller of sqrt(theta + residual)
+    plus the same allowance, tagged "lanczos-residual", and the caller's
+    upper_bound, tagged "l1".  converged is the solve's flag; the
+    endpoints are valid either way.
     """
     if dim == 0:
         return NormBracket(0.0, 0.0, lower_provenance, "l1")
@@ -199,9 +202,9 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     # residual tolerance for a sigma-bracket width near 2 tol_rel at sigma 1
     theta, res, converged = lanczos_extreme(apply_a, dim, start, 4 * tol_rel,
                                             dtype)
-    sigma = float(np.sqrt(max(theta, 0.0)))
     # without the allowance, rounding can put sqrt(theta + residual) an
-    # ulp below the norm it bounds (4 on fd level 4 for the generator sum)
+    # ulp below the norm it bounds, and sqrt(theta) a few ulps above it
     slack = ROUNDING_ULPS * np.finfo(float).eps * max(abs(theta), 1.0)
+    sigma = float(np.sqrt(max(theta - slack, 0.0)))
     sigma_hi = float(np.sqrt(max(theta + res + slack, 0.0)))
     return _bracket(sigma, sigma_hi, upper_bound, lower_provenance, converged)

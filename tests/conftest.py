@@ -35,3 +35,12 @@ def one_short_restart(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "lanczos_extreme", short)
+
+
+@pytest.fixture()
+def no_solver(monkeypatch):
+    """Every Lanczos solve raises, so only brackets that need none pass."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("unexpected Lanczos solve")
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", refuse)

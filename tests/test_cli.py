@@ -118,6 +118,23 @@ def test_gap_fd_with_ceiling(cache, tmp_path):
         2 * math.sqrt(3))
 
 
+def test_gap_fd_runs_no_solver(cache, tmp_path, no_solver):
+    # the generator sum is nonnegative: every finite row is one matvec on
+    # the constant vector, and the infinity fiber takes the radial path
+    out = tmp_path / "gap.csv"
+    code = run(["gap", "--family", "fd", "--n-max", "4", "--radius", "11",
+                "--infinity-ceiling", repr(2 * math.sqrt(3))], cache, out)
+    assert code == 0
+    _, rows, results = parse_report(out.read_text())
+    finite = [r for r in rows if r["level"] != "inf"]
+    assert [r["level"] for r in finite] == ["1", "2", "3", "4"]
+    assert all((r["lower"], r["upper"]) == ("4", "4") for r in finite)
+    assert finite[0]["provenance"] == (
+        "trivial-representation|trivial-representation")
+    assert all(r["provenance"] == "constant-vector|l1" for r in finite[1:])
+    assert results["gap_flagged"] == "true"
+
+
 def test_gap_cyclic_no_gap(cache, tmp_path):
     out = tmp_path / "gap.csv"
     code = run(["gap", "--family", "cyclic", "--n-max", "5",

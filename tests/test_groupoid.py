@@ -1,7 +1,9 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              reduced_norm_estimate, restrict_to_infinity,
                              rho_norm, standard_lift,
                              tau_spectral_gap, truncation_lower_bound,
-                             _truncation_bracket)
+                             _radial_bracket, _truncation_bracket)
 from hlslab.words import GroupAlgebraElement, Word, ball
 
 from dense_oracle import rho_dense
@@ -265,6 +267,36 @@ def test_scaled_translation_bracket_holds_its_norm(gfd, n, c, w):
     assert br.lower <= abs(c) <= br.upper
 
 
+NONNEGATIVE_COEFFS = {
+    "int": (1, 2, 3, 1),
+    "fraction": (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(5, 7)),
+    "float": (0.5, 1.25, 0.1, 3.0),
+    "zero-imaginary": (complex(0.5), RationalComplex(Fraction(1, 3)),
+                       2 + 0j, RationalComplex(Fraction(5, 7))),
+}
+
+
+@pytest.mark.parametrize("family,n", [("fd", n) for n in (2, 3, 4)]
+                         + [("congruence", n) for n in (2, 3, 4)]
+                         + [("cyclic", n) for n in range(1, 7)])
+@pytest.mark.parametrize("kind", sorted(NONNEGATIVE_COEFFS))
+def test_constant_vector_bracket_matches_dense(gfd, gcong, gcyc, no_solver,
+                                               family, n, kind):
+    # rho(f) of a nonnegative f has every row and column sum equal to sum f
+    g = {"fd": gfd, "congruence": gcong, "cyclic": gcyc}[family]
+    q = g.quotient(n)
+    words = ["", "a", "B", "ab"] if g.rank == 2 else ["", "a", "A", "aaa"]
+    x = GroupAlgebraElement.from_pairs(
+        zip(words, NONNEGATIVE_COEFFS[kind]), g.rank)
+    coeffs = q.pushforward(x)
+    br = fiber_norm_bracket(q, coeffs)
+    truth = float(np.linalg.norm(rho_dense(q, coeffs), 2))
+    assert br.lower - 1e-12 <= truth <= br.upper + 1e-12
+    assert (br.lower_provenance, br.upper_provenance) == (
+        "constant-vector", "l1")
+    assert br.converged
+
+
 @pytest.fixture(scope="module")
 def small_fibers(gfd, gcong):
     return [g.quotient(n) for g, n in
@@ -275,7 +307,9 @@ def small_fibers(gfd, gcong):
 @given(data=st.data())
 def test_bracket_endpoints_name_their_source(small_fibers, data):
     q = data.draw(st.sampled_from(small_fibers))
-    coeff = st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    nonnegative = data.draw(st.booleans())
+    coeff = st.floats(0 if nonnegative else -2, 2,
+                      allow_nan=False).filter(lambda c: abs(c) > 1e-3)
     pairs = data.draw(st.lists(
         st.tuples(st.sampled_from(ball(2, 2)), coeff),
         min_size=5, max_size=5))
@@ -291,6 +325,9 @@ def test_bracket_endpoints_name_their_source(small_fibers, data):
         assert br.upper == pytest.approx(l1, rel=1e-12, abs=1e-12)
     else:
         assert br.upper < l1
+    if nonnegative:
+        assert br.lower_provenance == "constant-vector"
+        assert truth <= br.upper + 1e-12
 
 
 def test_representation_property_exact(gfd):
@@ -434,11 +471,67 @@ def test_one_solve_per_bracket(fd, monkeypatch):
         return solve(apply_op, dim, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "lanczos_extreme", counting)
-    q = fd.quotient(4)
-    assert fiber_norm_bracket(q, q.pushforward(_signed_element())).converged
-    assert dims == [q.order]
+    orders = []
+    for n in (2, 3, 4):
+        q = fd.quotient(n)
+        assert fiber_norm_bracket(q,
+                                  q.pushforward(_signed_element())).converged
+        orders.append(q.order)
+        assert dims == orders
+        # a nonnegative element takes no solve on the same fiber
+        assert fiber_norm_bracket(q, q.pushforward(gen_sum())).converged
+        assert dims == orders
     assert infinity_norm_bracket(_signed_element(), 3).converged
-    assert dims == [q.order, BallIndex(2, 3).size]
+    assert dims == orders + [BallIndex(2, 3).size]
+
+
+def _permutation_matrix(p):
+    """The matrix sending basis vector e_i to e_p[i]."""
+    m = np.zeros((len(p), len(p)))
+    m[list(p), range(len(p))] = 1.0
+    return m
+
+
+def _generated_order(gens):
+    """Order of the group of permutation matrices that gens generate."""
+    identity = np.eye(len(gens[0]))
+    seen, frontier = {identity.tobytes()}, [identity]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                h = g @ s
+                if h.tobytes() not in seen:
+                    seen.add(h.tobytes())
+                    new.append(h)
+        frontier = new
+    return len(seen)
+
+
+@pytest.mark.parametrize("pairs", [
+    [("a", 1), ("A", 1), ("b", -1), ("B", -1), ("ab", 1), ("BA", 1)],
+    [("", 1), ("a", 1), ("B", 2), ("ab", 1)],
+], ids=["signed", "nonnegative"])
+def test_property_fd_permutation_norms_stay_below_the_fiber(fd, pairs):
+    # a -> sigma, b -> tau with a group of order <= n factors through fd
+    # level n, so its norm is at most the regular representation's there
+    x = GroupAlgebraElement.from_pairs(pairs)
+    for n in (2, 3, 4):
+        q = fd.quotient(n)
+        upper = fiber_norm_bracket(q, q.pushforward(x)).upper
+        checked = 0
+        for m in range(1, 5):
+            perms = [_permutation_matrix(p)
+                     for p in itertools.permutations(range(m))]
+            for sigma, tau in itertools.product(perms, repeat=2):
+                if _generated_order([sigma, tau]) > n:
+                    continue
+                letters = {"a": sigma, "A": sigma.T, "b": tau, "B": tau.T}
+                dense = sum(c * reduce(np.matmul, (letters[ch] for ch in w),
+                                       np.eye(m)) for w, c in pairs)
+                assert np.linalg.norm(dense, 2) <= upper + 1e-12
+                checked += 1
+        assert checked > 0
 
 
 # rank 3 stops at radius 4: the dense matrix of its radius-5 ball (4,687
@@ -464,6 +557,31 @@ def test_radial_truncation_matches_dense_compression(rank, radius, scale):
 def test_radial_truncation_radius_12():
     assert truncation_lower_bound(gen_sum(), 12) == pytest.approx(
         3.387575719275113, abs=1e-12)
+
+
+def test_radial_truncation_rounds_below_the_norm():
+    # 3.37609191200161451789... by mpmath at 40 digits; the Rayleigh
+    # quotient alone rounds to 3.376091912001615
+    br = _radial_bracket(1.0, 2, 11, 5_000_000)
+    assert br.lower <= 3.3760919120016145 <= br.upper
+    assert br.lower == pytest.approx(3.3760919120016145, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", range(1, 13))
+def test_radial_endpoints_are_exact_bounds(radius):
+    # Sylvester's law of inertia: the LDL^T pivots of T - lambda, exact in
+    # rationals since only the squared off-diagonals 4 and 3 enter, count
+    # the eigenvalues of the radial tridiagonal T below lambda
+    def eigenvalues_below(lam):
+        lam, d, below = Fraction(lam), None, 0
+        for j in range(radius + 1):
+            d = -lam if d is None else -lam - (4 if j == 1 else 3) / d
+            below += d < 0
+        return below
+
+    br = _radial_bracket(1.0, 2, radius, 5_000_000)
+    assert eigenvalues_below(br.lower) < radius + 1
+    assert eigenvalues_below(br.upper) == radius + 1
 
 
 def test_radial_truncation_checks_its_cap():
