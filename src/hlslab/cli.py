@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,14 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
     return str(v)
+
+
+def _endpoint(v: float, rounding: str) -> str:
+    """A bracket endpoint at the 12 digits _fmt prints, rounded outward
+    (ROUND_FLOOR for a lower endpoint, ROUND_CEILING for an upper one)
+    instead of to nearest, so the printed bracket still holds the norm.
+    The rounded decimal has 12 digits, so its float prints back as it."""
+    return _fmt(float(Context(prec=12, rounding=rounding).plus(Decimal(v))))
 
 
 def _write_report(config: ExperimentConfig, command: str,
@@ -126,7 +135,8 @@ def cmd_quotients(config: ExperimentConfig) -> int:
 
 def _bracket_row(level, order, bracket, wall_ms, config):
     row = {"level": level, "order": order,
-           "lower": bracket.lower, "upper": bracket.upper,
+           "lower": _endpoint(bracket.lower, ROUND_FLOOR),
+           "upper": _endpoint(bracket.upper, ROUND_CEILING),
            "provenance": f"{bracket.lower_provenance}|"
                          f"{bracket.upper_provenance}",
            "converged": bracket.converged}
@@ -150,32 +160,35 @@ def cmd_gap(config: ExperimentConfig) -> int:
         base.quotient(n)
     G = gpd.HLSGroupoid(base)
     t0 = time.monotonic()
-    report = gpd.fd_norm_profile(x, G, config.n_max, radius=config.radius,
-                                 margin=config.margin,
-                                 infinity_ceiling=config.infinity_ceiling,
-                                 ball_cap=config.ball_cap)
+    profile = gpd.norm_profile(gpd.FiberedFunction(G, x), config.n_max,
+                               config.radius, config.ball_cap)
+    ceiling, flagged = profile.gap(config.margin, config.infinity_ceiling)
     wall = int((time.monotonic() - t0) * 1000)
     rows = [_bracket_row(r.level, r.order, r.bracket, wall, config)
-            for r in report.rows]
-    rows.append(_bracket_row("inf", "inf", report.infinity, wall, config))
+            for r in profile.rows]
+    rows.append(_bracket_row("inf", "inf", profile.infinity, wall, config))
     fields = ["level", "order", "lower", "upper", "provenance", "converged"]
     if config.timings:
         fields.append("wall_ms")
     summary = {
-        "sup_finite_lower": report.sup_finite.lower,
-        "sup_finite_upper": report.sup_finite.upper,
-        "infinity_lower": report.infinity.lower,
-        "infinity_upper": report.infinity.upper,
-        "infinity_ceiling_used": report.infinity_ceiling_used,
-        "infinity_converged": report.infinity.converged,
-        "trivial_representation_lower": report.trivial_lower,
-        "l1_upper": report.l1_upper,
-        "monotone_ok": report.monotone_ok,
-        "gap_margin": report.gap_margin,
-        "gap_flagged": report.gap_flagged,
+        "sup_finite_lower": _endpoint(profile.sup_finite.lower, ROUND_FLOOR),
+        "sup_finite_upper": _endpoint(profile.sup_finite.upper,
+                                      ROUND_CEILING),
+        "infinity_lower": _endpoint(profile.infinity.lower, ROUND_FLOOR),
+        "infinity_upper": _endpoint(profile.infinity.upper, ROUND_CEILING),
+        "infinity_ceiling_used": _endpoint(ceiling, ROUND_CEILING),
+        "infinity_converged": profile.infinity.converged,
+        # |sum of coefficients|: the norm in the trivial representation,
+        # a lower bound for the maximal norm
+        "trivial_representation_lower": _endpoint(
+            abs(complex(x.sum_of_coefficients())), ROUND_FLOOR),
+        "l1_upper": _endpoint(x.l1_norm(), ROUND_CEILING),
+        "monotone_ok": profile.monotone_ok,
+        "gap_margin": config.margin,
+        "gap_flagged": flagged,
     }
     _write_report(config, "gap", fields, rows, summary)
-    return EXIT_OK if report.monotone_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if profile.monotone_ok else EXIT_CHECK_FAILED
 
 
 def _parse_kset(config: ExperimentConfig) -> list:

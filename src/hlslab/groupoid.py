@@ -28,7 +28,6 @@ from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
                     adjoint_coeffs, convolve_coeffs, l1_of)
 
 INFINITY = "inf"
-DEFAULT_GAP_MARGIN = 0.25
 DEFAULT_LIFT_DEPTH_CAP = 20
 TRUNCATION_TOL_REL = 1e-9  # the ball solve's requested relative width
 
@@ -202,22 +201,23 @@ def fiber_norm_bracket(q: FiniteQuotient, coeffs: dict) -> NormBracket:
     every coefficient is real and >= 0, rho(f) is a nonnegative matrix
     whose rows and columns all sum to sum f, so the constant vector is its
     Perron vector and the norm is sum f.  One matvec then gives the lower
-    endpoint, the Rayleigh quotient mean(rho(f) 1) clipped to the upper
-    one, tagged "constant-vector"; the upper endpoint is the l1 norm (also
-    the Schur test with constant weight), and no solve runs.  Every other
-    element takes one Lanczos solve on rho(f)* rho(f)
-    (singular_value_bracket)."""
+    endpoint, the Rayleigh quotient mean(rho(f) 1) clipped to the l1 norm
+    rounded down, tagged "constant-vector"; the upper endpoint is the l1
+    norm rounded up (also the Schur test with constant weight), and no
+    solve runs.  On the trivial group rho(f) is a scalar, and its bracket
+    is the l1 pair (l1_of).  Every other element takes one Lanczos solve
+    on rho(f)* rho(f) (singular_value_bracket)."""
     coeffs = _clean(coeffs)
     if not coeffs:
         return NormBracket(0.0, 0.0, "fiber-representation", "l1")
-    l1 = l1_of(coeffs)
-    if q.order == 1:
-        v = abs(sum(complex(c) for c in coeffs.values()))
-        return NormBracket(v, v, "trivial-representation",
+    l1_lower, l1 = l1_of(coeffs)
+    if q.order == 1:  # rho(f) is the one coefficient, as a scalar
+        return NormBracket(l1_lower, l1, "trivial-representation",
                            "trivial-representation")
     if all(imag_part(c) == 0 and real_part(c) >= 0 for c in coeffs.values()):
         rayleigh = float(fiber_matvec(q, coeffs)(np.ones(q.order)).mean())
-        return NormBracket(min(rayleigh, l1), l1, "constant-vector", "l1")
+        return NormBracket(min(rayleigh, l1_lower), l1, "constant-vector",
+                           "l1")
     return singular_value_bracket(
         fiber_matvec(q, coeffs),
         fiber_matvec(q, adjoint_coeffs(coeffs, q.invert_element)), q.order,
@@ -356,95 +356,58 @@ def rho_norm(f: FiberedFunction, n, radius: int = 8,
 
 @dataclass(frozen=True)
 class LevelRow:
-    level: object  # int or "inf"
-    order: object  # int or "inf"
+    level: int
+    order: int
     bracket: NormBracket
 
 
 @dataclass(frozen=True)
-class ReducedNormReport:
-    rows: tuple
-    bracket: NormBracket
+class NormProfile:
+    """Norm brackets of one fibered function: a row per finite level,
+    the infinity fiber, the supremum over the finite rows, and the
+    reduced groupoid norm (the supremum over every fiber)."""
 
-
-def _level_rows(f: FiberedFunction, levels) -> list[LevelRow]:
-    return [LevelRow(n, f.groupoid.quotient(n).order, rho_norm(f, n))
-            for n in levels]
-
-
-def reduced_norm_estimate(f: FiberedFunction, n_max: int, radius: int = 8,
-                          ball_cap: int = DEFAULT_BALL_CAP
-                          ) -> ReducedNormReport:
-    """Bracket for sup over all fibers of the fiber representation norms.
-
-    Levels 1..n_max and every override level are computed; the other
-    fibers are zero or pushforwards of the tail, so the l1 norm of the
-    tail dominates them and the upper endpoint is valid for the true
-    supremum.
-    """
-    levels = sorted(set(range(1, n_max + 1)) | set(f.override_levels()))
-    rows = _level_rows(f, levels)
-    brackets = [r.bracket for r in rows]
-    if not f.is_tail_zero():
-        inf_bracket = rho_norm(f, INFINITY, radius, ball_cap)
-        rows.append(LevelRow(INFINITY, INFINITY, inf_bracket))
-        # the tail's l1 norm dominates every uncomputed fiber
-        brackets.append(replace(inf_bracket, upper=f.tail.l1_norm(),
-                                upper_provenance="l1"))
-    return ReducedNormReport(tuple(rows), reduce(NormBracket.max, brackets))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    family: str
-    rows: tuple            # LevelRow per finite level
+    rows: tuple            # LevelRow per finite level, ascending
     infinity: NormBracket
     sup_finite: NormBracket
-    trivial_lower: float   # |sum of coefficients|: a maximal-norm lower bound
-    l1_upper: float
-    monotone_ok: bool
-    monotone_failures: tuple
-    gap_margin: float
-    infinity_ceiling_used: float
-    gap_flagged: bool
+    reduced: NormBracket
+
+    @property
+    def monotone_ok(self) -> bool:
+        """The lower endpoints do not fall along the tower."""
+        return all(b.bracket.lower + 1e-8 >= a.bracket.lower
+                   for a, b in zip(self.rows, self.rows[1:]))
+
+    def gap(self, margin: float, ceiling: float | None = None
+            ) -> tuple[float, bool]:
+        """(ceiling used, flagged): the infinity upper endpoint, sharpened
+        by an externally supplied analytic ceiling when one is given, and
+        whether the certified finite sup exceeds it by at least the
+        margin.  No analytic constant is built in."""
+        used = self.infinity.upper
+        if ceiling is not None:
+            used = min(used, ceiling)
+        return used, bool(self.sup_finite.lower >= used + margin)
 
 
-def fd_norm_profile(x: GroupAlgebraElement, groupoid: HLSGroupoid,
-                    n_max: int, radius: int = 12,
-                    margin: float = DEFAULT_GAP_MARGIN,
-                    infinity_ceiling: float | None = None,
-                    ball_cap: int = DEFAULT_BALL_CAP) -> GapReport:
-    """Per-level quasi-regular norm profile with the gap diagnosis.
+def norm_profile(f: FiberedFunction, n_max: int, radius: int,
+                 ball_cap: int = DEFAULT_BALL_CAP) -> NormProfile:
+    """Per-level norm profile of f, the one loop over fibers.
 
-    The GAP flag is raised when the certified finite-level sup exceeds the
-    infinity-fiber upper bound by more than the margin.  The engine's own
-    upper bound (l1 / Haagerup) can be sharpened by an externally supplied
-    analytic ceiling; no analytic constant is built in.
+    Levels 1..n_max and every override level are computed, and the
+    infinity fiber from the radius truncation.  The other fibers are zero
+    or pushforwards of the tail, so the l1 norm of the tail dominates them:
+    the reduced bracket is the finite sup maxed with the infinity bracket
+    whose upper endpoint is that l1 norm, valid for the true supremum.
     """
-    if not x.is_self_adjoint(tol=1e-12):
-        raise InputError("profile element must be self-adjoint")
-    f = FiberedFunction(groupoid, x, 1, {})
-    rows = _level_rows(f, range(1, n_max + 1))
-    failures = [(a.level, b.level) for a, b in zip(rows, rows[1:])
-                if b.bracket.lower + 1e-8 < a.bracket.lower]
+    levels = sorted(set(range(1, n_max + 1)) | set(f.override_levels()))
+    rows = tuple(LevelRow(n, f.groupoid.quotient(n).order, rho_norm(f, n))
+                 for n in levels)
     sup_finite = reduce(NormBracket.max, (r.bracket for r in rows))
-    inf_bracket = rho_norm(f, INFINITY, radius, ball_cap)
-    ceiling = inf_bracket.upper
-    if infinity_ceiling is not None:
-        ceiling = min(ceiling, infinity_ceiling)
-    return GapReport(
-        family=groupoid.base.family,
-        rows=tuple(rows),
-        infinity=inf_bracket,
-        sup_finite=sup_finite,
-        trivial_lower=float(abs(complex(x.sum_of_coefficients()))),
-        l1_upper=x.l1_norm(),
-        monotone_ok=not failures,
-        monotone_failures=tuple(failures),
-        gap_margin=margin,
-        infinity_ceiling_used=ceiling,
-        gap_flagged=bool(sup_finite.lower >= ceiling + margin),
-    )
+    infinity = rho_norm(f, INFINITY, radius, ball_cap)
+    tail_bound = replace(infinity, upper=f.tail.l1_norm(),
+                         upper_provenance="l1")
+    return NormProfile(rows, infinity, sup_finite, sup_finite.max(tail_bound))
 
 
 # -- property (tau) contrast -------------------------------------------------
@@ -567,8 +530,6 @@ def certificate_from_folner(xi: GroupAlgebraElement, groupoid: HLSGroupoid,
                             K, epsilon: float) -> AmenabilityCertificate:
     """eta(n, g) = sum of xi over the preimage of g: threshold-1 fibered
     function whose groupoid defects equal the group defects of xi."""
-    for c in xi.coeffs.values():
-        _check_unit_range(c)
     eta = FiberedFunction(groupoid, xi, 1, {})
     return AmenabilityCertificate(eta, tuple(K), epsilon)
 

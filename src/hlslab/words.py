@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceError
-from .exact import RationalComplex, conj, is_exact
+from .exact import RationalComplex, conj, imag_part, is_exact, real_part
 
 DEFAULT_BALL_CAP = 5_000_000
 
@@ -189,8 +189,18 @@ def adjoint_coeffs(a: dict, inverse) -> dict:
     return {inverse(g): conj(c) for g, c in a.items()}
 
 
-def l1_of(a: dict) -> float:
-    return float(sum(abs(c) for c in a.values()))
+def l1_of(a: dict) -> tuple[float, float]:
+    """sum |c| as (lower, upper) floats.  For real coefficients (int,
+    Fraction, float) the sum is exact, and an end moves one ulp outward
+    only when the float of the sum is not the sum, so 4 stays [4, 4].
+    Complex coefficients go through abs (hypot) and round to nearest."""
+    if any(imag_part(c) for c in a.values()):
+        s = float(sum(abs(c) for c in a.values()))
+        return s, s
+    s = sum(abs(Fraction(real_part(c))) for c in a.values())
+    f = float(s)
+    return (f if f <= s else math.nextafter(f, -math.inf),
+            f if f >= s else math.nextafter(f, math.inf))
 
 
 def _abs_squared(c):
@@ -293,7 +303,8 @@ class GroupAlgebraElement:
         return sum(self.coeffs.values())
 
     def l1_norm(self) -> float:
-        return l1_of(self.coeffs)
+        """sum |c|, rounded up: an upper bound for every fiber norm."""
+        return l1_of(self.coeffs)[1]
 
     def l2_norm_squared(self):
         return sum(_abs_squared(c) for c in self.coeffs.values())

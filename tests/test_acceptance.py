@@ -18,9 +18,8 @@ from hlslab.cli import main
 from hlslab.groupoid import (INFINITY, FiberedFunction, HLSGroupoid,
                              adjoint_fibered, certificate_from_folner,
                              check_certificate, convolve_fibered,
-                             fd_norm_profile, fiber_norm_bracket,
-                             folner_from_certificate,
-                             reduced_norm_estimate, rho_norm,
+                             fiber_norm_bracket, folner_from_certificate,
+                             norm_profile, rho_norm,
                              tau_spectral_gap, truncation_lower_bound)
 from hlslab.quotients import kernel_refines
 from hlslab.words import GroupAlgebraElement, Word, ball
@@ -197,13 +196,13 @@ def test_criterion_5_gap_experiment(fd):
     monotone = all(b + 1e-9 >= a for a, b in zip(truncs, truncs[1:]))
     sqrt7_ok = abs(truncs[0] - math.sqrt(7)) < 1e-9
     ceiling_ok = all(t <= KESTEN_4_REGULAR + 1e-6 for t in truncs)
-    profile = fd_norm_profile(x, G, 3, radius=6, margin=0.25,
-                              infinity_ceiling=KESTEN_4_REGULAR)
+    profile = norm_profile(FiberedFunction(G, x), 3, radius=6)
+    _, flagged = profile.gap(0.25, KESTEN_4_REGULAR)
     sup_ok = (abs(profile.sup_finite.lower - 4.0) < 1e-8
               and abs(profile.sup_finite.upper - 4.0) < 1e-8)
     elapsed = time.monotonic() - t0
     ok = (monotone and sqrt7_ok and ceiling_ok and sup_ok
-          and profile.gap_flagged and elapsed < 120.0)
+          and flagged and elapsed < 120.0)
     report("criterion 5: gap witness: finite sup = 4, truncations monotone, "
            "radius-2 = sqrt(7), all <= 2*sqrt(3), GAP flagged, < 2 min",
            ok, f"truncs={[f'{t:.6f}' for t in truncs]} "
@@ -216,11 +215,11 @@ def test_criterion_6_amenable_control(cyclic):
     G = HLSGroupoid(cyclic)
     x = GroupAlgebraElement.from_pairs(
         [(Word((1,), 1), 1.0), (Word((-1,), 1), 1.0)], 1)
-    profile = fd_norm_profile(x, G, 8, radius=3200)
+    profile = norm_profile(FiberedFunction(G, x), 8, radius=3200)
     sup_ok = abs(profile.sup_finite.lower - 2.0) < 1e-6
     inf_ok = (abs(profile.infinity.lower - 2.0) < 1e-6
               and abs(profile.infinity.upper - 2.0) < 1e-6)
-    ok = sup_ok and inf_ok and not profile.gap_flagged
+    ok = sup_ok and inf_ok and not profile.gap(0.25)[1]
     report("criterion 6: cyclic control: finite sup and infinity bracket "
            "both 2 within 1e-6, NO GAP",
            ok, f"sup={profile.sup_finite.lower:.8f} "
@@ -263,12 +262,12 @@ def test_criterion_7_block_diagonal_norms(fd, congruence):
             continue
         f = FiberedFunction(G, GroupAlgebraElement.zero(2), top + 1,
                             overrides)
-        rep = reduced_norm_estimate(f, top)
+        rep = norm_profile(f, top, radius=8)
         expected = max(
             float(np.linalg.norm(rho_dense(G.quotient(n), fib), 2))
             for n, fib in overrides.items())
-        err = max(abs(rep.bracket.lower - expected),
-                  abs(rep.bracket.upper - expected))
+        err = max(abs(rep.reduced.lower - expected),
+                  abs(rep.reduced.upper - expected))
         worst = max(worst, err)
         ok = ok and err < 1e-9 * max(1.0, expected)
         cases += 1

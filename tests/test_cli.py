@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hlslab
 from hlslab.cli import main
-from hlslab.words import GroupAlgebraElement, Word
+from hlslab.words import GroupAlgebraElement, Word, ball
+
+from dense_oracle import rho_dense
 
 
 @pytest.fixture()
@@ -181,6 +186,46 @@ def test_gap_rows_report_an_unconverged_level(cache, tmp_path,
     assert rows[3]["level"] == "4" and float(rows[3]["lower"]) < 6
     assert rows[3]["converged"] == "false"
     assert results["monotone_ok"] == "false"
+
+
+# 2a + 2A - b - B + 2aab + 2BAA: fd level 4 computes the lower endpoint
+# 7.196152422706427, which rounds to nearest at 12 digits as 7.19615242271,
+# above the norm 2 + 3 sqrt(3) = 7.19615242270663...
+PINNED = GroupAlgebraElement.from_pairs(
+    [("a", 2), ("A", 2), ("b", -1), ("B", -1), ("aab", 2), ("BAA", 2)], 2)
+
+
+def signed_draws():
+    rng = random.Random(16)
+    words = [str(w) for w in ball(2, 2)]
+    draws = [PINNED]
+    while len(draws) < 5:
+        x = GroupAlgebraElement.from_pairs(
+            [(rng.choice(words), Fraction(rng.randint(-6, 6),
+                                          rng.randint(1, 4)))
+             for _ in range(3)], 2)
+        draws.append(x + x.adjoint())
+    return draws
+
+
+@pytest.mark.parametrize("x", signed_draws(), ids=str)
+def test_gap_prints_brackets_rounded_outward(cache_dir, fd, tmp_path, x):
+    out = tmp_path / "gap.csv"
+    assert main(["gap", "--family", "fd", "--n-max", "4", "--radius", "2",
+                 "--element", x.to_json(), "--cache-dir", str(cache_dir),
+                 "--out", str(out)]) == 0
+    _, rows, results = parse_report(out.read_text())
+    for r in rows[1:4]:
+        q = fd.quotient(int(r["level"]))
+        truth = float(np.linalg.norm(rho_dense(q, q.pushforward(x)), 2))
+        # the dense norm is good to far below the 12th printed digit
+        slack = 1e-14 * max(truth, 1.0)
+        assert float(r["lower"]) <= truth + slack
+        assert truth - slack <= float(r["upper"])
+    if x == PINNED:
+        assert rows[3]["lower"] == results["sup_finite_lower"] == (
+            "7.1961524227")
+        assert float(rows[3]["lower"]) < 2 + 3 * math.sqrt(3)
 
 
 def test_gap_radial_truncation_past_the_ball_cap(cache, tmp_path):

@@ -1,7 +1,9 @@
 """Byte-identity of CLI reports against recorded golden CSVs.
 
 The reports below carry exact values and element indices only (orders,
-degrees, pass flags, BFS element indices, rational defects), so they do not
+degrees, pass flags, BFS element indices, rational defects), or, for the
+gap report, brackets that take no Lanczos solve (the constant vector on
+every fd level and the radial closed form at infinity), so they do not
 depend on the BLAS build.  A change that alters one of them changes what
 the tool reports; regenerate the files with `python tests/test_golden.py`
 only when that change is intended.
@@ -40,6 +42,9 @@ REPORTS = {
          "--kset",
          '[["inf","a"],[2,"a"],[3,"AAA"],[5,"aaaaaaa"],[6,"AAAAA"]]',
          "--epsilon", "0.9"], 1),
+    "gap-fd-4-radius-11": (
+        ["gap", "--family", "fd", "--n-max", "4", "--radius", "11",
+         "--infinity-ceiling", "3.4641016151377544"], 0),
     "convolve-check-fd": (["convolve-check", "--family", "fd"], 0),
     "convolve-check-congruence": (
         ["convolve-check", "--family", "congruence"], 0),

@@ -18,11 +18,10 @@ from hlslab.exact import RationalComplex
 from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              HLSGroupoid, adjoint_fibered, certificate_from_folner,
                              check_certificate, convolve_fibered,
-                             fd_norm_profile, fiber_matvec,
-                             fiber_norm_bracket,
+                             fiber_matvec, fiber_norm_bracket,
                              folner_from_certificate, infinity_norm_bracket,
-                             markov_element,
-                             reduced_norm_estimate, restrict_to_infinity,
+                             markov_element, norm_profile,
+                             restrict_to_infinity,
                              rho_norm, standard_lift,
                              tau_spectral_gap, truncation_lower_bound,
                              _radial_bracket, _truncation_bracket)
@@ -295,6 +294,33 @@ def test_constant_vector_bracket_matches_dense(gfd, gcong, gcyc, no_solver,
     assert (br.lower_provenance, br.upper_provenance) == (
         "constant-vector", "l1")
     assert br.converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_l1_endpoints_hold_the_sum(gfd, data):
+    # nonnegative rational coefficients have norm exactly sum c on every
+    # fiber; the float endpoints must hold it as rationals, so an l1 sum
+    # that no float represents rounds outward, not to nearest
+    q = gfd.quotient(data.draw(st.sampled_from([1, 2, 3])))
+    coeffs = data.draw(st.dictionaries(
+        st.integers(0, q.order - 1),
+        st.fractions(min_value=0, max_value=4,
+                     max_denominator=30).filter(bool),
+        min_size=1, max_size=4))
+    br = fiber_norm_bracket(q, coeffs)
+    assert Fraction(br.lower) <= sum(coeffs.values()) <= Fraction(br.upper)
+
+
+@pytest.mark.parametrize("c,lower,upper", [
+    (Fraction(4), 4.0, 4.0),
+    (Fraction(1, 10), math.nextafter(0.1, 0), 0.1),
+    (Fraction(1, 3), 1 / 3, math.nextafter(1 / 3, 1)),
+])
+def test_exact_l1_endpoints_move_one_ulp(gfd, c, lower, upper):
+    q = gfd.quotient(3)
+    br = fiber_norm_bracket(q, {5: c})
+    assert (br.lower, br.upper) == (lower, upper)
 
 
 @pytest.fixture(scope="module")
@@ -661,23 +687,25 @@ def test_reduced_norm_tail_zero_block(gfd):
     q = gfd.quotient(2)
     f = FiberedFunction(gfd, GroupAlgebraElement.zero(2), 3,
                         {2: {q.evaluate(Word((1,), 2)): 2.0}})
-    rep = reduced_norm_estimate(f, 3)
+    rep = norm_profile(f, 3, radius=8)
     # a single translation scaled by 2 is a partial isometry times 2
-    assert rep.bracket.lower == pytest.approx(2.0, abs=1e-9)
-    assert rep.bracket.upper == pytest.approx(2.0, abs=1e-9)
-    assert rep.bracket.upper_provenance in UPPER_TAGS
-    assert all(r.level != INFINITY for r in rep.rows)
+    assert rep.reduced.lower == pytest.approx(2.0, abs=1e-9)
+    assert rep.reduced.upper == pytest.approx(2.0, abs=1e-9)
+    assert rep.reduced.upper_provenance in UPPER_TAGS
+    # a zero tail adds nothing at infinity
+    assert (rep.infinity.lower, rep.infinity.upper) == (0.0, 0.0)
+    assert rep.reduced == rep.sup_finite
 
 
 def test_reduced_norm_generator_sum(gfd):
     f = standard_lift(gen_sum(), gfd)
-    rep = reduced_norm_estimate(f, 4)
-    assert rep.bracket.lower == pytest.approx(4.0, abs=1e-7)
-    assert rep.bracket.upper == pytest.approx(4.0, abs=1e-7)
-    assert rep.bracket.upper_provenance in UPPER_TAGS
+    rep = norm_profile(f, 4, radius=8)
+    assert rep.reduced.lower == pytest.approx(4.0, abs=1e-7)
+    assert rep.reduced.upper == pytest.approx(4.0, abs=1e-7)
+    assert rep.reduced.upper_provenance in UPPER_TAGS
     # the lower endpoint carries the tag of the row that attains it
     best = max(rep.rows, key=lambda r: r.bracket.lower)
-    assert rep.bracket.lower_provenance == best.bracket.lower_provenance
+    assert rep.reduced.lower_provenance == best.bracket.lower_provenance
 
 
 def test_reduced_norm_counts_overrides_above_n_max(gfd):
@@ -687,13 +715,13 @@ def test_reduced_norm_counts_overrides_above_n_max(gfd):
     zero_tail = FiberedFunction(gfd, GroupAlgebraElement.zero(2), 4,
                                 {3: {a: 2.0}})
     assert rho_norm(zero_tail, 3).lower == pytest.approx(2.0, abs=1e-9)
-    rep = reduced_norm_estimate(zero_tail, 2)
-    assert rep.bracket.lower == pytest.approx(2.0, abs=1e-9)
-    assert rep.bracket.upper >= 2.0
+    rep = norm_profile(zero_tail, 2, radius=8)
+    assert rep.reduced.lower == pytest.approx(2.0, abs=1e-9)
+    assert rep.reduced.upper >= 2.0
     gen_tail = FiberedFunction(gfd, gen_sum(), 4, {3: {a: 9.0}})
-    rep = reduced_norm_estimate(gen_tail, 2)
-    assert rep.bracket.lower == pytest.approx(9.0, abs=1e-9)
-    assert rep.bracket.upper >= 9.0
+    rep = norm_profile(gen_tail, 2, radius=8)
+    assert rep.reduced.lower == pytest.approx(9.0, abs=1e-9)
+    assert rep.reduced.upper >= 9.0
 
 
 def test_reduced_norm_cyclic_tight_bracket(gcyc):
@@ -702,44 +730,39 @@ def test_reduced_norm_cyclic_tight_bracket(gcyc):
         [(Word.identity(1), 1.0), (Word((1,), 1), -0.5),
          (Word((-1,), 1), -0.5)], 1)
     f = FiberedFunction(gcyc, x, 1, {})
-    rep = reduced_norm_estimate(f, 8, radius=600)
-    assert rep.bracket.lower <= 2.0 + 1e-9
-    assert rep.bracket.upper >= 2.0 - 1e-3
-    assert rep.bracket.width <= 1e-3
-    inf_row = rep.rows[-1]
-    assert inf_row.level == INFINITY
+    rep = norm_profile(f, 8, radius=600)
+    assert rep.reduced.lower <= 2.0 + 1e-9
+    assert rep.reduced.upper >= 2.0 - 1e-3
+    assert rep.reduced.width <= 1e-3
+    assert [r.level for r in rep.rows] == list(range(1, 9))
+    assert rep.infinity.lower_provenance == "truncation"
 
 
 # -- gap profile --------------------------------------------------------------
 
-def test_profile_requires_self_adjoint(gfd):
-    with pytest.raises(InputError):
-        fd_norm_profile(GroupAlgebraElement.delta(Word((1,), 2)), gfd, 2)
-
-
 def test_gap_flag_uses_external_ceiling(gfd):
-    x = gen_sum()
-    rep = fd_norm_profile(x, gfd, 3, radius=6,
-                          infinity_ceiling=2 * math.sqrt(3))
+    rep = norm_profile(FiberedFunction(gfd, gen_sum()), 3, radius=6)
+    ceiling, flagged = rep.gap(0.25, 2 * math.sqrt(3))
     assert rep.monotone_ok
     assert rep.sup_finite.lower == pytest.approx(4.0, abs=1e-7)
-    assert rep.infinity_ceiling_used == pytest.approx(2 * math.sqrt(3))
-    assert rep.gap_flagged
+    assert ceiling == pytest.approx(2 * math.sqrt(3))
+    assert flagged
 
 
 def test_gap_flag_without_ceiling(gfd):
     # engine-only upper bound is the l1 norm 4, so no gap can be certified
-    rep = fd_norm_profile(gen_sum(), gfd, 2, radius=4)
-    assert not rep.gap_flagged
-    assert rep.infinity_ceiling_used == pytest.approx(4.0)
+    rep = norm_profile(FiberedFunction(gfd, gen_sum()), 2, radius=4)
+    ceiling, flagged = rep.gap(0.25)
+    assert not flagged
+    assert ceiling == pytest.approx(4.0)
 
 
 def test_no_gap_for_cyclic(gcyc):
     x = GroupAlgebraElement.from_pairs(
         [(Word((1,), 1), 1.0), (Word((-1,), 1), 1.0)], 1)
-    rep = fd_norm_profile(x, gcyc, 6, radius=400)
+    rep = norm_profile(FiberedFunction(gcyc, x), 6, radius=400)
     assert rep.monotone_ok
-    assert not rep.gap_flagged
+    assert not rep.gap(0.25)[1]
     assert rep.sup_finite.lower <= rep.infinity.upper + 1e-6
 
 
