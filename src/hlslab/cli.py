@@ -21,7 +21,7 @@ from pathlib import Path
 from . import groupoid as gpd
 from .config import ExperimentConfig, build_config
 from .errors import InputError, ResourceError
-from .quotients import ApproximatedGroup, kernel_refines
+from .quotients import FAMILIES, ApproximatedGroup, kernel_refines
 from .words import GroupAlgebraElement, Word, ball, ball_size
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -146,11 +146,8 @@ def _bracket_row(level, order, bracket, wall_ms, config):
 
 
 def cmd_gap(config: ExperimentConfig) -> int:
-    if config.rank >= 2:
-        default = GroupAlgebraElement.generator_sum(config.rank)
-    else:
-        default = GroupAlgebraElement.from_pairs([("a", 1), ("A", 1)], rank=1)
-    x = _load_element(config, default=default)
+    x = _load_element(config,
+                      default=GroupAlgebraElement.generator_sum(config.rank))
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("gap experiment element must be self-adjoint")
     base = _base(config)
@@ -338,7 +335,7 @@ def cmd_convolve_check(config: ExperimentConfig) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["fd", "congruence", "cyclic"],
+    p.add_argument("--family", choices=FAMILIES,
                    help="approximating sequence family")
     p.add_argument("--n-max", type=int, dest="n_max",
                    help="deepest quotient level")

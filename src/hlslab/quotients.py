@@ -9,10 +9,13 @@ Three families are provided:
   [[1,0],[2,1]] in SL(2, Z/2^n), acting on (Z/2^n)^2.
 * ``cyclic`` (rank 1): Z/2^n with the generator mapping to 1.
 
-A quotient is its generator permutations and its right Cayley table:
-elements are indexed 0..order-1 by Cayley-graph BFS from the identity in
-the fixed generator order (g1, g1^-1, g2, g2^-1, ...) (perms.bfs_order),
-and the BFS tree is derived from the table (perms.bfs_tree).
+A quotient is its generator permutations and its right Cayley table, and
+FiniteQuotient(gen_perms, table) is its one constructor: elements are
+indexed 0..order-1 by Cayley-graph BFS from the identity in the fixed
+generator order (g1, g1^-1, g2, g2^-1, ...) (perms.bfs_order), and the
+BFS tree is derived from the table (perms.bfs_tree).  A family is just
+its generators (_generators); ApproximatedGroup._build closes them with
+bfs_order under the fiber cap.
 
 The disk cache stores each level as one quotient-<family>-<n>.v3.npz
 holding format_version, the generators and the table.  A load reads them
@@ -49,46 +52,21 @@ DEFAULT_HOM_LEVEL_CAP = 6
 FAMILIES = ("fd", "congruence", "cyclic")
 FAMILY_RANK = {"fd": 2, "congruence": 2, "cyclic": 1}
 
-SANOV_A = ((1, 2), (0, 1))
-SANOV_B = ((1, 0), (2, 1))
-
 
 class FiniteQuotient:
     """A finite quotient of F_k given by one permutation per generator.
 
     Elements are indexed by BFS over the Cayley graph (right
     multiplication by g1, g1^-1, g2, g2^-1, ... in that order), so the
-    identity has index 0 and indices are reproducible.  The quotient keeps
-    its generators, its right Cayley table (perms.bfs_order) and the BFS
-    tree derived from that table (perms.bfs_tree); every group operation
-    is a walk through the table.  A quotient read back from the disk cache
-    (from_cache_dict) takes the stored table as it is, after checking it,
-    and runs no BFS.
+    identity has index 0 and indices are reproducible.  The constructor
+    takes the generators (int32) and their right Cayley table in that BFS
+    order (perms.bfs_order's), and derives only the BFS tree
+    (perms.bfs_tree); every group operation is a walk through the table.
+    The constructor runs no BFS, so a load from the disk cache
+    (from_cache_dict) takes the stored table as it is, after checking it.
     """
 
-    def __init__(self, gen_perms: list[np.ndarray], rank: int,
-                 cap: int = DEFAULT_FIBER_CAP):
-        if len(gen_perms) != rank:
-            raise InputError("need one permutation per generator")
-        gen_perms = [np.asarray(g, dtype=np.int32) for g in gen_perms]
-        if any(len(g) != len(gen_perms[0]) for g in gen_perms):
-            raise InputError("generator permutations have mixed degrees")
-        table = bfs_order(gen_perms, cap)
-        if table is None:
-            raise ResourceError(f"quotient order exceeds the fiber cap {cap}")
-        self._adopt(gen_perms, table)
-
-    @classmethod
-    def _from_table(cls, gen_perms: list[np.ndarray],
-                    table: np.ndarray) -> "FiniteQuotient":
-        """The quotient of gen_perms whose right Cayley table, in BFS
-        order, the caller already has; no BFS runs."""
-        q = cls.__new__(cls)
-        q._adopt(gen_perms, table)
-        return q
-
-    def _adopt(self, gen_perms: list[np.ndarray], table: np.ndarray) -> None:
-        # every quotient, built or loaded, derives its BFS tree here
+    def __init__(self, gen_perms: list[np.ndarray], table: np.ndarray):
         self.rank = len(gen_perms)
         self.gen_perms = gen_perms
         self.degree = len(gen_perms[0])
@@ -186,7 +164,7 @@ class FiniteQuotient:
         inverse_cols = np.arange(2 * rank) ^ 1
         if not (table[table, inverse_cols] == np.arange(order)[:, None]).all():
             raise InputError("cached table columns are not inverse pairs")
-        return FiniteQuotient._from_table(list(gens), table)
+        return FiniteQuotient(list(gens), table)
 
 
 def kernel_refines(p: FiniteQuotient, q: FiniteQuotient) -> bool:
@@ -259,43 +237,28 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
             key = table.tobytes()
             if key not in seen:
                 seen.add(key)
-                reps.append(FiniteQuotient._from_table([sigma, tau], table))
+                reps.append(FiniteQuotient([sigma, tau], table))
     return reps
 
 
 # -- quotient families ------------------------------------------------------
 
-def _fd_quotient(n: int, hom_level_cap: int, fiber_cap: int) -> FiniteQuotient:
-    reps = enumerate_kernel_reps(n, hom_level_cap)
-    gen_a = []
-    gen_b = []
-    offset = 0
-    for r in reps:
-        gen_a.append(r.gen_perms[0] + offset)
-        gen_b.append(r.gen_perms[1] + offset)
-        offset += r.degree
-    return FiniteQuotient(
-        [np.concatenate(gen_a).astype(np.int32),
-         np.concatenate(gen_b).astype(np.int32)], rank=2, cap=fiber_cap)
-
-
-def _sl2_perm(mat, modulus: int) -> np.ndarray:
-    (a, b), (c, d) = mat
-    m = modulus
-    x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
-    return ((a * x + b * y) % m * m + (c * x + d * y) % m).astype(np.int32)
-
-
-def _congruence_quotient(n: int, fiber_cap: int) -> FiniteQuotient:
+def _generators(family: str, n: int, hom_level_cap: int) -> list[np.ndarray]:
+    """The int32 generator permutations of the family's level-n quotient."""
+    if family == "fd":
+        # the kernel representatives side by side, the k-th on points k*n..
+        reps = enumerate_kernel_reps(n, hom_level_cap)
+        return [np.concatenate([r.gen_perms[g] + k * n
+                                for k, r in enumerate(reps)]).astype(np.int32)
+                for g in (0, 1)]
     m = 2 ** n
-    return FiniteQuotient(
-        [_sl2_perm(SANOV_A, m), _sl2_perm(SANOV_B, m)], rank=2, cap=fiber_cap)
-
-
-def _cyclic_quotient(n: int, fiber_cap: int) -> FiniteQuotient:
-    m = 2 ** n
-    gen = np.roll(np.arange(m, dtype=np.int32), -1)  # i -> i+1 mod m
-    return FiniteQuotient([gen], rank=1, cap=fiber_cap)
+    if family == "congruence":
+        # the Sanov matrices [[1,2],[0,1]] and [[1,0],[2,1]] on (Z/m)^2,
+        # point x*m + y; int64, as (x + 2y)*m overflows int32 from n = 15
+        x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
+        return [((x + 2 * y) % m * m + y).astype(np.int32),
+                (x * m + (2 * x + y) % m).astype(np.int32)]
+    return [np.roll(np.arange(m, dtype=np.int32), -1)]  # i -> i+1 mod m
 
 
 class ApproximatedGroup:
@@ -348,11 +311,12 @@ class ApproximatedGroup:
 
     def _build(self, n: int) -> FiniteQuotient:
         self.check_level(n)
-        if self.family == "fd":
-            return _fd_quotient(n, self.hom_level_cap, self.fiber_cap)
-        if self.family == "congruence":
-            return _congruence_quotient(n, self.fiber_cap)
-        return _cyclic_quotient(n, self.fiber_cap)
+        gens = _generators(self.family, n, self.hom_level_cap)
+        table = bfs_order(gens, self.fiber_cap)
+        if table is None:
+            raise ResourceError(
+                f"quotient order exceeds the fiber cap {self.fiber_cap}")
+        return FiniteQuotient(gens, table)
 
     def quotient(self, n: int) -> FiniteQuotient:
         if n < 1:

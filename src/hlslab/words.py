@@ -189,26 +189,48 @@ def adjoint_coeffs(a: dict, inverse) -> dict:
     return {inverse(g): conj(c) for g, c in a.items()}
 
 
+def _abs_squared(c) -> Fraction:
+    """|c|^2, exactly."""
+    re, im = Fraction(real_part(c)), Fraction(imag_part(c))
+    return re * re + im * im
+
+
+def _sqrt_bracket(sq: Fraction, guess: float) -> tuple[Fraction, Fraction]:
+    """Floats lo <= sqrt(sq) <= hi, as Fractions: guess (a float near the
+    root, such as math.hypot's) stepped an ulp at a time until each side
+    holds, checked exactly (a float's square is an exact Fraction)."""
+    lo = hi = guess
+    while Fraction(lo) ** 2 > sq:
+        lo = math.nextafter(lo, -math.inf)
+    while Fraction(hi) ** 2 < sq:
+        hi = math.nextafter(hi, math.inf)
+    return Fraction(lo), Fraction(hi)
+
+
+def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """Floats a <= lo and b >= hi: each the nearest float, moved one ulp
+    outward only when that one is on the wrong side."""
+    a, b = float(lo), float(hi)
+    return (a if a <= lo else math.nextafter(a, -math.inf),
+            b if b >= hi else math.nextafter(b, math.inf))
+
+
 def l1_of(a: dict) -> tuple[float, float]:
-    """sum |c| as (lower, upper) floats.  For real coefficients (int,
-    Fraction, float) the sum is exact, and an end moves one ulp outward
-    only when the float of the sum is not the sum, so 4 stays [4, 4].
-    Complex coefficients go through abs (hypot) and round to nearest."""
-    if any(imag_part(c) for c in a.values()):
-        s = float(sum(abs(c) for c in a.values()))
-        return s, s
-    s = sum(abs(Fraction(real_part(c))) for c in a.values())
-    f = float(s)
-    return (f if f <= s else math.nextafter(f, -math.inf),
-            f if f >= s else math.nextafter(f, math.inf))
-
-
-def _abs_squared(c):
-    if isinstance(c, RationalComplex):
-        return c.abs_squared()
-    if isinstance(c, complex):
-        return c.real * c.real + c.imag * c.imag
-    return c * c
+    """sum |c| as (lower, upper) floats.  |c| is exact for a real c and
+    bracketed by floats (_sqrt_bracket) for a complex one; the ends are
+    summed exactly and rounded outward (_outward), so 4 stays [4, 4].
+    Raises InputError on a non-finite coefficient."""
+    lo = hi = Fraction(0)
+    for c in a.values():
+        size = abs(complex(c))
+        if not math.isfinite(size):
+            raise InputError(f"coefficient {c} is not finite")
+        if imag_part(c):
+            c_lo, c_hi = _sqrt_bracket(_abs_squared(c), size)
+        else:
+            c_lo = c_hi = abs(Fraction(real_part(c)))
+        lo, hi = lo + c_lo, hi + c_hi
+    return _outward(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -310,7 +332,7 @@ class GroupAlgebraElement:
         return sum(_abs_squared(c) for c in self.coeffs.values())
 
     def l2_norm(self) -> float:
-        return math.sqrt(float(self.l2_norm_squared()))
+        return math.hypot(*(abs(complex(c)) for c in self.coeffs.values()))
 
     def sphere_decomposition(self) -> list[tuple[int, "GroupAlgebraElement", float]]:
         """Split by word length: x = sum_k x_k, with the l2 norm of each x_k."""
@@ -324,9 +346,12 @@ class GroupAlgebraElement:
         return out
 
     def haagerup_bound(self) -> float:
-        """sum_k (k+1)*||x_k||_2; an upper bound for the reduced norm when
-        rank >= 2."""
-        return sum((k + 1) * n for k, _, n in self.sphere_decomposition())
+        """sum_k (k+1)*||x_k||_2, rounded up; an upper bound for the
+        reduced norm when rank >= 2.  Each ||x_k||_2^2 is exact, and its
+        root is bracketed (_sqrt_bracket) and summed upward (_outward)."""
+        total = sum((k + 1) * _sqrt_bracket(comp.l2_norm_squared(), norm)[1]
+                    for k, comp, norm in self.sphere_decomposition())
+        return _outward(total, total)[1]
 
     # -- serialization: JSON array of [word, re, im] triples ---------------
 
@@ -356,8 +381,17 @@ class GroupAlgebraElement:
                 raise InputError(f"bad element row {row!r}")
             word_s, re_v, im_v = row
             w = Word.parse(word_s, rank)
+            if not all(isinstance(v, str) or type(v) in (int, float)
+                       and math.isfinite(v) for v in (re_v, im_v)):
+                raise InputError(f"coefficients must be finite numbers or "
+                                 f"strings, not {row!r}")
             if isinstance(re_v, str) or isinstance(im_v, str):
-                c = RationalComplex(Fraction(str(re_v)), Fraction(str(im_v)))
+                try:
+                    c = RationalComplex(Fraction(str(re_v)),
+                                        Fraction(str(im_v)))
+                except (ValueError, ZeroDivisionError) as e:
+                    raise InputError(
+                        f"bad rational in row {row!r}: {e}") from e
                 if c.im == 0 and c.re.denominator == 1:
                     c = int(c.re)
                 elif c.im == 0:

@@ -387,6 +387,20 @@ def test_bad_element_json(cache):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["gap", "--family", "fd", "--n-max", "2", "--radius", "2"],
+    ["amen", "--family", "cyclic"]], ids=["gap", "amen"])
+@pytest.mark.parametrize("element", [
+    '[["a",Infinity,0],["A",Infinity,0]]', '[["a",NaN,0]]',
+    '[["a","1/0",0]]', '[["a","x",0]]', '[["a",true,0],["A",true,0]]',
+    # finite, but the two sum to inf on fd level 1
+    '[["a",1e308,0],["A",1e308,0]]'])
+def test_malformed_coefficients_are_input_errors(cache, capsys, command,
+                                                 element):
+    assert run(command + ["--element", element], cache) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_reports_byte_identical_across_runs(cache, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["gap", "--family", "fd", "--n-max", "3", "--radius", "4"]

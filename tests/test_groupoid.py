@@ -323,6 +323,30 @@ def test_exact_l1_endpoints_move_one_ulp(gfd, c, lower, upper):
     assert (br.lower, br.upper) == (lower, upper)
 
 
+def test_complex_l1_endpoints_hold_the_modulus(gfd):
+    # rho(c delta_s) is c times a unitary, so its norm is |c| exactly; the
+    # endpoints must hold it against the exact |c|^2 (for 426 of these c,
+    # such as 1 + 29/36 i, the float nearest |c| is below it)
+    q = gfd.quotient(3)
+    for p, d in itertools.product(range(1, 30), repeat=2):
+        c = RationalComplex(Fraction(p, d), Fraction(d, p + 7))
+        br = fiber_norm_bracket(q, {5: c})
+        assert br.upper_provenance == "l1"
+        assert Fraction(br.lower) ** 2 <= c.abs_squared() \
+            <= Fraction(br.upper) ** 2
+
+
+def test_haagerup_endpoint_holds_the_exact_bound():
+    # eleven words of length 2, each with coefficient 1: the Haagerup bound
+    # is 3 sqrt(11), and its float must not sit below it
+    x = GroupAlgebraElement.from_pairs(
+        [(w, 1) for w in "aa ab aB AA Ab AB ba bA bb Ba BA".split()], 2)
+    br = infinity_norm_bracket(x, 2)
+    assert br.upper_provenance == "haagerup"
+    assert Fraction(br.upper) ** 2 >= 99
+    assert Fraction(math.nextafter(br.upper, 0)) ** 2 < 99  # the tightest
+
+
 @pytest.fixture(scope="module")
 def small_fibers(gfd, gcong):
     return [g.quotient(n) for g, n in

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hlslab import quotients
 from hlslab.cli import SEPARATION_BALL_WORDS
 from hlslab.errors import InputError, ResourceError
-from hlslab.perms import bfs_tree
+from hlslab.perms import bfs_order, bfs_tree
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
                               enumerate_kernel_reps, kernel_refines)
 from hlslab.words import Word, ball, ball_size
@@ -17,6 +18,10 @@ from hlslab.words import Word, ball, ball_size
 
 def cyclic_perm(m, shift):
     return np.roll(np.arange(m, dtype=np.int32), -shift)
+
+
+def quotient(gens):
+    return FiniteQuotient(gens, bfs_order(gens))
 
 
 # -- kernel enumeration -------------------------------------------------------
@@ -56,7 +61,7 @@ def test_kernel_reps_match_all_pairs(n, count):
     for sigma, tau in itertools.product(itertools.permutations(range(n)),
                                         repeat=2):
         gens = [np.array(sigma, dtype=np.int32), np.array(tau, dtype=np.int32)]
-        q = FiniteQuotient(gens, rank=2)
+        q = quotient(gens)
         if q.order > n:
             continue
         equal = [same(q, r) for r in brute]
@@ -82,8 +87,8 @@ def test_kernels_refine_to_next_level():
 # -- kernel_refines -----------------------------------------------------------
 
 def test_kernel_refines_trivial_map():
-    trivial = FiniteQuotient([cyclic_perm(1, 0), cyclic_perm(1, 0)], rank=2)
-    z2 = FiniteQuotient([cyclic_perm(2, 1), cyclic_perm(2, 0)], rank=2)
+    trivial = quotient([cyclic_perm(1, 0), cyclic_perm(1, 0)])
+    z2 = quotient([cyclic_perm(2, 1), cyclic_perm(2, 0)])
     assert not kernel_refines(trivial, z2)
     assert kernel_refines(trivial, trivial)
     assert kernel_refines(z2, trivial)
@@ -91,8 +96,8 @@ def test_kernel_refines_trivial_map():
 
 
 def test_kernel_refines_z4_to_z2():
-    p = FiniteQuotient([cyclic_perm(4, 1), cyclic_perm(4, 0)], rank=2)
-    q = FiniteQuotient([cyclic_perm(2, 1), cyclic_perm(2, 0)], rank=2)
+    p = quotient([cyclic_perm(4, 1), cyclic_perm(4, 0)])
+    q = quotient([cyclic_perm(2, 1), cyclic_perm(2, 0)])
     assert kernel_refines(p, q)
     assert not kernel_refines(q, p)
 
@@ -445,3 +450,32 @@ def test_cache_is_used(tmp_path):
     base2 = ApproximatedGroup("cyclic", cache_dir=tmp_path)
     q = base2.quotient(4)
     assert q.order == 16
+
+
+# sha256 prefixes of the int32 bytes of each level's cached generators
+# and table: cache files written by any version must stay byte-identical
+CACHE_DIGESTS = {
+    ("fd", 1): ("af5570f5a1810b7a", "374708fff7719dd5"),
+    ("fd", 2): ("8b9bb9ec73549328", "f3be0dcd55322210"),
+    ("fd", 3): ("5ee39ec637420b33", "539f23369e671ed3"),
+    ("fd", 4): ("c47237fa21260ebe", "0d8a354496ac423e"),
+    ("congruence", 1): ("a9dc0497ada8a830", "374708fff7719dd5"),
+    ("congruence", 2): ("96943aeaf29bfd17", "f3be0dcd55322210"),
+    ("congruence", 3): ("16a819bff0a8d5f1", "60c3449a92a6e1ea"),
+    ("congruence", 4): ("7249ae48478163b1", "8afb65f9dba2a1a2"),
+    ("congruence", 5): ("8665e67d4bf7dc2c", "2a3563c8f34b1566"),
+    ("cyclic", 1): ("7c9fa136d4413fa6", "b35c194be488b20a"),
+    ("cyclic", 2): ("81c1a5a2f482e82c", "ac7aac47c446a19a"),
+    ("cyclic", 3): ("452d964aea414d0b", "758af666afcb27e5"),
+    ("cyclic", 4): ("c0f72076dea99f98", "f453e2477185dd20"),
+    ("cyclic", 5): ("56d7f20b1fc768a4", "6ee73e01cc4d41f4"),
+    ("cyclic", 6): ("21cc68151fe05407", "6f0d03aba48e4700"),
+}
+
+
+@pytest.mark.parametrize("family,n", list(CACHE_DIGESTS))
+def test_cache_arrays_keep_their_bytes(family, n):
+    arrays = ApproximatedGroup(family).quotient(n).to_cache_dict()
+    assert arrays["generators"].dtype == arrays["table"].dtype == np.int32
+    assert tuple(hashlib.sha256(arrays[k].tobytes()).hexdigest()[:16]
+                 for k in ("generators", "table")) == CACHE_DIGESTS[family, n]

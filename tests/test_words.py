@@ -226,7 +226,7 @@ def test_sphere_pythagoras(x):
 
 
 def test_haagerup_bound_generator_sum():
-    assert gen_sum().haagerup_bound() == pytest.approx(4.0)
+    assert gen_sum().haagerup_bound() == 4.0  # exact inputs stay exact
 
 
 # -- serialization ------------------------------------------------------------
