@@ -333,8 +333,8 @@ def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
     the truncation solve did not certify its requested width."""
     if not x.coeffs:
         return NormBracket(0.0, 0.0, "truncation", "l1")
+    l1 = x.l1_norm()  # refuses a norm too large to solve, before the solve
     truncation = _truncation_bracket(x, radius, ball_cap)
-    l1 = x.l1_norm()
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:
         haag = x.haagerup_bound()

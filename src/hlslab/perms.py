@@ -1,17 +1,26 @@
 """Permutation utilities, the Cayley-table core and a deterministic
 Schreier-Sims order check.
 
-bfs_order closes a permutation group into its right Cayley table, and
-bfs_tree derives that table's BFS tree; propagate walks the tree through
-a table.  Permutations are numpy int64/int32 arrays p with p[i] = image
-of point i; composition is (p @ q)(i) = p[q[i]].
+Two closures return the same right Cayley table.  layer_closure builds
+every level of a quotient family: an element is a short tuple of
+coordinates (base-point images, or indices in smaller quotients) stored
+as one int64 key, and each BFS layer is one gather per letter.
+bfs_order keys each element by its whole permutation and visits
+elements one at a time; it is the cheaper of the two on the many tiny
+capped closures of kernel enumeration.  bfs_tree derives a table's BFS
+tree, and propagate walks the tree through a table.  Permutations are
+numpy int64/int32 arrays p with p[i] = image of point i; composition is
+(p @ q)(i) = p[q[i]].
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
+
+from .errors import ResourceError
 
 
 def identity_perm(degree: int) -> np.ndarray:
@@ -66,6 +75,78 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
                 found.append(k)
             table.append(j)
     return np.frombuffer(table, dtype=np.int32).reshape(-1, len(letters))
+
+
+def point_table(gens: list[np.ndarray]) -> np.ndarray:
+    """degree x 2k int64: column c is the inverse of letter c (g1, g1^-1,
+    g2, ...) as a map on points.  x^-1(p) moves through it under right
+    multiplication, (x s)^-1(p) = s^-1(x^-1(p)), so it is a layer_closure
+    table for the base-point images of x^-1."""
+    cols = []
+    for g in gens:
+        g = np.asarray(g, dtype=np.int64)
+        cols += [g, invert(g)]
+    return np.stack([cols[c ^ 1] for c in range(len(cols))], axis=1)
+
+
+def layer_closure(tables: list[np.ndarray], start, cap: int | None = None):
+    """The right Cayley table bfs_order would return, built one BFS layer
+    at a time on short keys, or None if the group has more than cap
+    elements.
+
+    An element is a tuple of coordinates, the t-th in range(len(tables[t]))
+    and moved by letter c through tables[t][:, c]; the identity is start.
+    The tuple must determine the element (base-point images of x^-1 with a
+    point_table, or indices in quotients whose kernels meet in the
+    wanted one), and column c ^ 1 must invert column c.  The tuple is one
+    mixed-radix int64 key.  Each layer's neighbours are one gather per
+    coordinate; since the letters come in inverse pairs they lie in the
+    previous, current or next layer, so a key is looked up by searchsorted
+    in the two sorted layers before it, and the new ones are numbered in
+    order of first discovery (element-major, letter-minor) as bfs_order
+    numbers them.  Raises ResourceError if the key space reaches 2^63.
+    """
+    tables = [np.asarray(t, dtype=np.int64) for t in tables]
+    sizes = [len(t) for t in tables]
+    if math.prod(sizes) >= 2 ** 63:
+        raise ResourceError(f"key space {math.prod(sizes)} of the closure "
+                            "does not fit an int64 key")
+    strides = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
+    width = tables[0].shape[1]
+    key = np.array([sum(s * k for s, k in zip(start, strides))],
+                   dtype=np.int64)
+    # prev, cur: a layer's keys sorted, and their indices; key: the
+    # current layer's keys in index order
+    prev = (np.empty(0, np.int64), np.empty(0, np.int64))
+    cur = (key, np.zeros(1, dtype=np.int64))
+    out = array("i")
+    hi = 1  # elements numbered so far
+    while len(key):
+        nbr = np.zeros((len(key), width), dtype=np.int64)
+        for tab, size, stride in zip(tables, sizes, strides):
+            nbr += tab[key // stride % size] * stride
+        nbr = nbr.ravel()
+        rows = np.empty(len(nbr), dtype=np.int64)
+        new = np.ones(len(nbr), dtype=bool)
+        for keys, index in (prev, cur):
+            if len(keys):
+                pos = np.minimum(np.searchsorted(keys, nbr), len(keys) - 1)
+                hit = keys[pos] == nbr
+                rows[hit] = index[pos[hit]]
+                new &= ~hit
+        fresh, first, inverse = np.unique(nbr[new], return_index=True,
+                                          return_inverse=True)
+        if cap is not None and hi + len(fresh) > cap:
+            return None
+        # number the new keys by first discovery
+        by_first = np.argsort(first)
+        number = np.empty(len(fresh), dtype=np.int64)
+        number[by_first] = np.arange(hi, hi + len(fresh))
+        rows[new] = number[inverse]
+        out.frombytes(rows.astype(np.int32).tobytes())
+        prev, cur, key = cur, (fresh, number), fresh[by_first]
+        hi += len(fresh)
+    return np.frombuffer(out, dtype=np.int32).reshape(-1, width)
 
 
 def bfs_tree(table: np.ndarray):

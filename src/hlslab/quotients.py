@@ -12,10 +12,14 @@ Three families are provided:
 A quotient is its generator permutations and its right Cayley table, and
 FiniteQuotient(gen_perms, table) is its one constructor: elements are
 indexed 0..order-1 by Cayley-graph BFS from the identity in the fixed
-generator order (g1, g1^-1, g2, g2^-1, ...) (perms.bfs_order), and the
-BFS tree is derived from the table (perms.bfs_tree).  A family is just
-its generators (_generators); ApproximatedGroup._build closes them with
-bfs_order under the fiber cap.
+generator order (g1, g1^-1, g2, g2^-1, ...), and the BFS tree is derived
+from the table (perms.bfs_tree).  ApproximatedGroup._build is the one
+build site: it closes a level with perms.layer_closure under the fiber
+cap, on keys of a few coordinates instead of whole permutations (fd
+level n in Q_(n-1) x the new kernel reps, congruence and cyclic by
+base-point images).  perms.bfs_order, keyed by whole permutations, stays
+for the many tiny capped closures of kernel enumeration, where it is the
+cheaper one.
 
 The disk cache stores each level as one quotient-<family>-<n>.v3.npz
 holding format_version, the generators and the table.  A load reads them
@@ -42,7 +46,8 @@ import numpy as np
 
 from .balls import BallIndex
 from .errors import InputError, ResourceError
-from .perms import bfs_order, bfs_tree, propagate, schreier_sims_order
+from .perms import (bfs_order, bfs_tree, layer_closure, point_table,
+                    propagate, schreier_sims_order)
 from .words import GroupAlgebraElement, Word, letter_rank
 
 CACHE_FORMAT_VERSION = 3
@@ -60,8 +65,9 @@ class FiniteQuotient:
     multiplication by g1, g1^-1, g2, g2^-1, ... in that order), so the
     identity has index 0 and indices are reproducible.  The constructor
     takes the generators (int32) and their right Cayley table in that BFS
-    order (perms.bfs_order's), and derives only the BFS tree
-    (perms.bfs_tree); every group operation is a walk through the table.
+    order (as perms.bfs_order and perms.layer_closure return it), and
+    derives only the BFS tree (perms.bfs_tree); every group operation is
+    a walk through the table.
     The constructor runs no BFS, so a load from the disk cache
     (from_cache_dict) takes the stored table as it is, after checking it.
     """
@@ -241,26 +247,6 @@ def enumerate_kernel_reps(n: int, hom_level_cap: int = DEFAULT_HOM_LEVEL_CAP
     return reps
 
 
-# -- quotient families ------------------------------------------------------
-
-def _generators(family: str, n: int, hom_level_cap: int) -> list[np.ndarray]:
-    """The int32 generator permutations of the family's level-n quotient."""
-    if family == "fd":
-        # the kernel representatives side by side, the k-th on points k*n..
-        reps = enumerate_kernel_reps(n, hom_level_cap)
-        return [np.concatenate([r.gen_perms[g] + k * n
-                                for k, r in enumerate(reps)]).astype(np.int32)
-                for g in (0, 1)]
-    m = 2 ** n
-    if family == "congruence":
-        # the Sanov matrices [[1,2],[0,1]] and [[1,0],[2,1]] on (Z/m)^2,
-        # point x*m + y; int64, as (x + 2y)*m overflows int32 from n = 15
-        x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
-        return [((x + 2 * y) % m * m + y).astype(np.int32),
-                (x * m + (2 * x + y) % m).astype(np.int32)]
-    return [np.roll(np.arange(m, dtype=np.int32), -1)]  # i -> i+1 mod m
-
-
 class ApproximatedGroup:
     """A free group with one of the three approximating sequences, with a
     persistent disk cache of constructed quotients."""
@@ -310,9 +296,40 @@ class ApproximatedGroup:
                 self.check_level(n)
 
     def _build(self, n: int) -> FiniteQuotient:
+        """Level n: its generators, closed by perms.layer_closure on short
+        keys (every array int32, so cache bytes do not depend on the
+        closure).
+
+        fd: the kernel reps' generators side by side, the k-th on points
+        k*n...  ker_n is ker_(n-1) met with the kernels of the reps of
+        order exactly n (a rep of smaller order is a rep at level n - 1),
+        so Q_n is the image of F in Q_(n-1) x R_1 x R_2 x ..., closed over
+        their tables from the identity; a cold level n builds and caches
+        level n - 1 first.  congruence: the Sanov matrices [[1,2],[0,1]]
+        and [[1,0],[2,1]] on (Z/m)^2, point x*m + y (int64, as (x + 2y)*m
+        overflows int32 from n = 15); a linear map is fixed by its images
+        of (1, 0) and (0, 1).  cyclic: i -> i+1 on Z/m, fixed by the image
+        of 0."""
         self.check_level(n)
-        gens = _generators(self.family, n, self.hom_level_cap)
-        table = bfs_order(gens, self.fiber_cap)
+        m = 2 ** n
+        if self.family == "fd":
+            reps = enumerate_kernel_reps(n, self.hom_level_cap)
+            gens = [np.concatenate([r.gen_perms[g] + k * n
+                                    for k, r in enumerate(reps)]
+                                   ).astype(np.int32) for g in (0, 1)]
+            tables = [r.table for r in reps if r.order == n]
+            if n > 1:
+                tables.insert(0, self.quotient(n - 1).table)
+            start = [0] * len(tables)
+        elif self.family == "congruence":
+            x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
+            gens = [((x + 2 * y) % m * m + y).astype(np.int32),
+                    (x * m + (2 * x + y) % m).astype(np.int32)]
+            tables, start = [point_table(gens)] * 2, [m, 1]
+        else:
+            gens = [np.roll(np.arange(m, dtype=np.int32), -1)]
+            tables, start = [point_table(gens)], [0]
+        table = layer_closure(tables, start, self.fiber_cap)
         if table is None:
             raise ResourceError(
                 f"quotient order exceeds the fiber cap {self.fiber_cap}")

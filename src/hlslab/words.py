@@ -215,21 +215,38 @@ def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
             b if b >= hi else math.nextafter(b, math.inf))
 
 
+# every solve runs on rho(x)* rho(x), whose norm is at most l1^2, and
+# squares the norms of its vectors: l1 must keep l1^4 a finite float
+L1_LIMIT = 2.0 ** 255
+
+
+def _fits_float(c) -> bool:
+    """True iff c converts to a finite complex float."""
+    try:
+        z = complex(c)
+    except OverflowError:  # an exact c beyond the largest float
+        return False
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def l1_of(a: dict) -> tuple[float, float]:
     """sum |c| as (lower, upper) floats.  |c| is exact for a real c and
     bracketed by floats (_sqrt_bracket) for a complex one; the ends are
     summed exactly and rounded outward (_outward), so 4 stays [4, 4].
-    Raises InputError on a non-finite coefficient."""
+    Raises InputError on a coefficient that is not a finite float, and
+    when the sum is above L1_LIMIT, before any solve can overflow."""
     lo = hi = Fraction(0)
     for c in a.values():
-        size = abs(complex(c))
-        if not math.isfinite(size):
-            raise InputError(f"coefficient {c} is not finite")
+        if not _fits_float(c):
+            raise InputError(f"coefficient {c} is not a finite float")
         if imag_part(c):
-            c_lo, c_hi = _sqrt_bracket(_abs_squared(c), size)
+            c_lo, c_hi = _sqrt_bracket(_abs_squared(c), abs(complex(c)))
         else:
             c_lo = c_hi = abs(Fraction(real_part(c)))
         lo, hi = lo + c_lo, hi + c_hi
+    if hi > L1_LIMIT:
+        raise InputError(f"l1 norm {float(hi):.3e} is above 2^255, so a "
+                         "solve on x* x would overflow a float")
     return _outward(lo, hi)
 
 
@@ -382,25 +399,28 @@ class GroupAlgebraElement:
             word_s, re_v, im_v = row
             w = Word.parse(word_s, rank)
             if not all(isinstance(v, str) or type(v) in (int, float)
-                       and math.isfinite(v) for v in (re_v, im_v)):
-                raise InputError(f"coefficients must be finite numbers or "
+                       for v in (re_v, im_v)):
+                raise InputError(f"coefficients must be numbers or "
                                  f"strings, not {row!r}")
-            if isinstance(re_v, str) or isinstance(im_v, str):
-                try:
+            try:
+                if isinstance(re_v, str) or isinstance(im_v, str):
                     c = RationalComplex(Fraction(str(re_v)),
                                         Fraction(str(im_v)))
-                except (ValueError, ZeroDivisionError) as e:
-                    raise InputError(
-                        f"bad rational in row {row!r}: {e}") from e
-                if c.im == 0 and c.re.denominator == 1:
-                    c = int(c.re)
-                elif c.im == 0:
-                    c = c.re
-            else:
-                c = complex(re_v, im_v)
-                if c.imag == 0:
-                    c = c.real
+                    if c.im == 0 and c.re.denominator == 1:
+                        c = int(c.re)
+                    elif c.im == 0:
+                        c = c.re
+                else:
+                    c = complex(re_v, im_v)
+                    if c.imag == 0:
+                        c = c.real
+            except (ValueError, ZeroDivisionError, OverflowError) as e:
+                raise InputError(f"bad coefficient in row {row!r}: {e}") from e
             coeffs[w] = coeffs.get(w, 0) + c
+        for w, c in coeffs.items():  # every solve runs in floats
+            if not _fits_float(c):
+                raise InputError(f"the coefficient of {w} is not a finite "
+                                 f"float")
         return GroupAlgebraElement(rank, coeffs)
 
     def __str__(self) -> str:

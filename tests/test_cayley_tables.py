@@ -4,17 +4,23 @@ Everything here is checked against plain permutation arithmetic written
 in this file: numpy fancy indexing for composition, argsort for inverses,
 and a FIFO closure over permutation bytes for the indexing and the BFS
 tree.  The tree a table yields (perms.bfs_tree) is also checked against
-the shortlex tree BallIndex builds for itself.
+the shortlex tree BallIndex builds for itself, and the layer closure
+that builds every level (perms.layer_closure) against perms.bfs_order,
+the closure that keys each element by its whole permutation.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hlslab import perms, quotients
 from hlslab.balls import BallIndex
-from hlslab.perms import bfs_order, bfs_tree
-from hlslab.quotients import (FiniteQuotient, _class_reps,
+from hlslab.errors import ResourceError
+from hlslab.perms import bfs_order, bfs_tree, layer_closure, point_table
+from hlslab.quotients import (ApproximatedGroup, FiniteQuotient, _class_reps,
                               enumerate_kernel_reps, kernel_refines)
 from hlslab.words import ball, letter_rank
 
@@ -175,3 +181,59 @@ def test_kernel_refines_matches_paired_closure_on_nesting(towers):
                 assert got == paired_refines(p, q)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# -- the layer closure against bfs_order ------------------------------------
+
+@pytest.mark.parametrize("family,top", [("fd", 5), ("congruence", 6),
+                                        ("cyclic", 10)])
+def test_layer_closure_builds_the_bfs_order_tables(monkeypatch, family, top):
+    calls = []
+    closure = quotients.layer_closure
+    monkeypatch.setattr(quotients, "layer_closure",
+                        lambda *a, **k: calls.append(a) or closure(*a, **k))
+    base = ApproximatedGroup(family)  # no cache: every level is built
+    for n in range(1, top + 1):
+        q = base.quotient(n)
+        table = bfs_order(q.gen_perms)
+        assert q.table.dtype == table.dtype == np.int32
+        assert q.table.tobytes() == table.tobytes(), n
+    assert len(calls) == top
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layer_closure_on_every_base_point_matches_bfs_order(data):
+    d = data.draw(st.integers(1, 8), label="degree")
+    gens = [np.array(data.draw(st.permutations(range(d))), dtype=np.int32)
+            for _ in range(2)]
+    # the images of x^-1 on every point are x^-1 itself
+    tables, start = [point_table(gens)] * d, list(range(d))
+    table = bfs_order(gens)
+    got = layer_closure(tables, start)
+    assert got.dtype == np.int32 and got.tobytes() == table.tobytes()
+    order = len(table)
+    for cap in {max(order - 1, 1), order}:
+        assert (layer_closure(tables, start, cap) is None) == (order > cap)
+
+
+def test_layer_closure_refuses_keys_past_int64():
+    def fixed(size):  # every letter fixes every point
+        return np.broadcast_to(np.arange(size)[:, None], (size, 2))
+
+    with pytest.raises(ResourceError):
+        layer_closure([fixed(2 ** 21)] * 3, [0, 0, 0])  # 2^63 keys
+    # 2^63 - 1 keys still fit: the trivial group closes on the last key
+    sizes = [7, 7, 73, 127, 337, 92737, 649657]
+    assert np.prod(sizes, dtype=object) == 2 ** 63 - 1
+    got = layer_closure([fixed(s) for s in sizes], [s - 1 for s in sizes])
+    assert got.tolist() == [[0, 0]]
+
+
+def test_point_table_columns_invert_the_letters():
+    gens = [np.array([1, 2, 0, 3], dtype=np.int32),
+            np.array([0, 1, 3, 2], dtype=np.int32)]
+    pt = point_table(gens)
+    letters = [g for s in gens for g in (s, perms.invert(s))]
+    for c, s in enumerate(letters):
+        assert np.array_equal(s[pt[:, c]], np.arange(4))

@@ -394,7 +394,14 @@ def test_bad_element_json(cache):
     '[["a",Infinity,0],["A",Infinity,0]]', '[["a",NaN,0]]',
     '[["a","1/0",0]]', '[["a","x",0]]', '[["a",true,0],["A",true,0]]',
     # finite, but the two sum to inf on fd level 1
-    '[["a",1e308,0],["A",1e308,0]]'])
+    '[["a",1e308,0],["A",1e308,0]]',
+    # l1 squared overflows, so rho(f)* rho(f) would
+    '[["a",1e160,0],["A",1e160,0]]',
+    # an exact coefficient beyond the largest float
+    '[["a","1e400",0],["A","1e400",0]]',
+    # l1 squared is finite but its square is not: a signed element's
+    # solve squares the norms of vectors as large as l1 squared
+    '[["a",1e77,0],["A",1e77,0],["e",-1e77,0]]'])
 def test_malformed_coefficients_are_input_errors(cache, capsys, command,
                                                  element):
     assert run(command + ["--element", element], cache) == 2

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,9 +312,10 @@ def test_cache_round_trip(tmp_path, monkeypatch):
                                       "table"]
     fresh = ApproximatedGroup("fd").quotient(3)
     calls = []
-    bfs = quotients.bfs_order
-    monkeypatch.setattr(quotients, "bfs_order",
-                        lambda *a, **k: calls.append(a) or bfs(*a, **k))
+    for name in ("bfs_order", "layer_closure"):
+        closure = getattr(quotients, name)
+        monkeypatch.setattr(quotients, name, lambda *a, closure=closure, **k:
+                            calls.append(a) or closure(*a, **k))
     reloaded = ApproximatedGroup("fd", cache_dir=tmp_path).quotient(3)
     assert calls == []  # a load is a read, not a BFS; the tree is derived
     assert (reloaded.order, reloaded.degree, reloaded.rank) == \
@@ -324,6 +326,19 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert np.stack(reloaded.gen_perms).tobytes() == \
         np.stack(fresh.gen_perms).tobytes()
     assert reloaded.verify_schreier_sims()
+
+
+def test_congruence_6_builds_in_small_memory():
+    # a closure keyed by whole permutations holds order x degree x 4 bytes
+    # of keys here, about 270 MB
+    tracemalloc.start()
+    try:
+        q = ApproximatedGroup("congruence").quotient(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.order == 2 ** (3 * 6 - 4)
+    assert peak < 32 * 2 ** 20
 
 
 def _swap_table_entries(arrays):
