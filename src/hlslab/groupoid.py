@@ -374,8 +374,11 @@ class NormProfile:
 
     @property
     def monotone_ok(self) -> bool:
-        """The lower endpoints do not fall along the tower."""
-        return all(b.bracket.lower + 1e-8 >= a.bracket.lower
+        """The lower endpoints do not fall along the tower, up to a slack
+        of 1e-8 relative to max(1, |lower|), so the check does not depend
+        on the element's scale."""
+        return all(b.bracket.lower + 1e-8 * max(1.0, abs(a.bracket.lower))
+                   >= a.bracket.lower
                    for a, b in zip(self.rows, self.rows[1:]))
 
     def gap(self, margin: float, ceiling: float | None = None

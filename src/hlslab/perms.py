@@ -173,12 +173,16 @@ def bfs_tree(table: np.ndarray):
             and (parent[1:] < np.arange(1, order)).all()):
         raise ValueError("table is not in BFS order")
     # parent is nondecreasing, so the children of [lo, hi) end at the
-    # first index whose parent is hi or more
-    child_end = np.searchsorted(parent, np.arange(order + 1))
-    layer_ends = [1]
-    while layer_ends[-1] < order:
-        layer_ends.append(int(child_end[layer_ends[-1]]))
-    return parent, letter, np.array(layer_ends, dtype=np.int64)
+    # first index whose parent is hi or more: layer_ends[r + 1] =
+    # child_end[layer_ends[r]], the orbit of 1 under child_end, which
+    # stays at order once there.  Pointer doubling: with step = child_end
+    # composed m times, step[ends] extends the first m orbit points by m.
+    step = np.searchsorted(parent, np.arange(order + 1))  # child_end
+    ends = np.array([1], dtype=np.int64)
+    while ends[-1] < order:
+        ends = np.concatenate([ends, step[ends]])
+        step = step[step]
+    return parent, letter, ends[:np.searchsorted(ends, order) + 1].copy()
 
 
 def propagate(table: np.ndarray, parent: np.ndarray, letter: np.ndarray,

@@ -179,12 +179,14 @@ def kernel_refines(p: FiniteQuotient, q: FiniteQuotient) -> bool:
     phi sends each element of p to the image in q of its BFS-tree word.
     The inclusion holds exactly when phi is a well-defined homomorphism,
     i.e. when it commutes with right multiplication by every letter:
-    phi[R_p] == R_q[phi] for the right Cayley tables R.
+    phi[R_p] == R_q[phi] for the right Cayley tables R, compared one
+    letter column at a time.
     """
     if p.rank != q.rank:
         raise InputError("rank mismatch in kernel_refines")
     phi = propagate(q.table, p.parent, p.letter, p.layer_ends, 0)
-    return bool(np.array_equal(phi[p.table], q.table[phi]))
+    return all(np.array_equal(phi[p.table[:, c]], q.table[phi, c])
+               for c in range(p.table.shape[1]))
 
 
 # -- Lubotzky-Shalom FD kernel enumeration ---------------------------------

@@ -1,20 +1,23 @@
-"""Certified operator norm brackets via thick-restart Lanczos iteration.
+"""Certified operator norm brackets via two-pass Lanczos iteration.
 
 The engine never reports bare point values: every norm comes back as a
 NormBracket [lower, upper] with provenance on both endpoints.  A bracket
 of a signed or complex element comes from one Lanczos solve, and its
 converged flag is that solve's; nonnegative fiber elements and the
-radial truncation need none (groupoid).  Every solve keeps a basis of at
-most MAX_BASIS vectors, and every start is drawn by seeded_vector from
-the standard-library generator, so no run loads numpy.random.  Lower
-bounds are Rayleigh quotients (always valid for the top eigenvalue of a
+radial truncation need none (groupoid).  A solve keeps the recurrence's
+coefficients and a few vectors, whatever its step count, and calls no
+LAPACK: the tridiagonal eigenproblem is solved in pure Python.  Every
+start is drawn by seeded_vector from the standard-library generator, so
+no run loads numpy.random.  Lower bounds are Rayleigh quotients of
+explicit Ritz vectors (always valid for the top eigenvalue of a
 self-adjoint operator) less a rounding allowance; upper bounds combine
-the Ritz residual estimate with whatever a-priori bound (l1, Haagerup)
-the caller supplies.
+the explicit residual with whatever a-priori bound (l1, Haagerup) the
+caller supplies.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -22,9 +25,11 @@ import numpy as np
 
 LANCZOS_SEED = int.from_bytes(b"HLS", "big")  # 0x48 0x4C 0x53
 DEFAULT_TOL_REL = 1e-10
-MAX_BASIS = 64  # Krylov rows of every solve: 64 * order * itemsize bytes
-MAX_RESTARTS = 200  # up to 64 + 200 * 48 matvecs
-RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + Ritz residual)
+# the pass-1 step budget of a solve, one matvec a step:
+# MAX_BASIS + (MAX_RESTARTS - 1) * (MAX_BASIS - MAX_BASIS // 4) = 9,616
+MAX_BASIS = 64
+MAX_RESTARTS = 200
+RESIDUAL_PROVENANCE = "lanczos-residual"  # sqrt(theta + explicit residual)
 ROUNDING_ULPS = 256  # rounding allowance on both endpoints, in ulps
 
 
@@ -72,85 +77,185 @@ def seeded_vector(dim: int) -> np.ndarray:
     return u * 2.0 ** -52 - 1.0
 
 
-def _ritz_top(T, k):
-    """Eigenpairs of the projected matrix T[:k, :k], in ascending order;
-    the last pair is the top Ritz pair."""
-    return np.linalg.eigh(T[:k, :k])
+def _pivots(alpha, beta, sigma: float, floor: float) -> list:
+    """The pivots d of T - sigma = L D L^T (L unit lower bidiagonal, no
+    pivoting), every pivot smaller than floor lifted to floor with its
+    sign.  By Sylvester's law of inertia the positive ones count the
+    eigenvalues of T above sigma (of T perturbed by at most 2 floor)."""
+    pivots, d = [], 1.0
+    for a, b in zip(alpha, [0.0] + beta):
+        d = a - sigma - b * b / d
+        if abs(d) < floor:
+            d = math.copysign(floor, d)
+        pivots.append(d)
+    return pivots
+
+
+def _count_above(alpha, beta, sigma: float, floor: float) -> int:
+    """Number of eigenvalues of T above sigma: a Sturm count."""
+    return sum(d > 0 for d in _pivots(alpha, beta, sigma, floor))
+
+
+def _solve_shifted(alpha, beta, sigma: float, x, floor: float) -> np.ndarray:
+    """y with (T - sigma) y = x through the pivots: the inverse-iteration
+    step, for which only the direction of y matters."""
+    pivots = _pivots(alpha, beta, sigma, floor)
+    z, zi = [], 0.0
+    for xi, b, d in zip(x, [0.0] + beta, [1.0] + pivots):  # L z = x
+        zi = xi - b / d * zi
+        z.append(zi)
+    y, yi = [], 0.0
+    for zi, d, b in zip(z[::-1], pivots[::-1], [0.0] + beta[::-1]):
+        yi = (zi - b * yi) / d  # D L^T y = z, from the last row up
+        y.append(yi)
+    return np.array(y[::-1])
+
+
+def _rayleigh_tridiagonal(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """(theta, unit x, ||T x - theta x||) for the tridiagonal T with
+    diagonal a and off-diagonal b."""
+    x = x / np.linalg.norm(x)
+    tx = a * x
+    tx[:-1] += b * x[1:]
+    tx[1:] += b * x[:-1]
+    theta = float(x @ tx)
+    return theta, x, float(np.linalg.norm(tx - theta * x))
+
+
+def _tridiagonal_top(alpha: list, beta: list, x=None):
+    """(theta, s): the top eigenvalue of the symmetric tridiagonal T with
+    diagonal alpha and off-diagonal beta (one shorter), and a unit
+    eigenvector, in pure Python and numpy (no LAPACK).
+
+    Rayleigh quotient iteration by shifted tridiagonal solves refines x
+    (the previous top Ritz vector padded with zeros; a seeded vector when
+    None) until ||T s - theta s|| <= slack = 16 eps ||T||; a
+    Sturm count then confirms that no eigenvalue lies above theta + 4
+    slack.  Failing either, bisection on the Sturm count brackets the top
+    eigenvalue to slack, and inverse iteration from the upper end, nearer
+    the top eigenvalue than any other, finds s.
+    """
+    a, b = np.array(alpha, dtype=float), np.array(beta, dtype=float)
+    k = len(a)
+    radius = np.zeros(k)  # Gershgorin: the spectrum lies in [lo, hi]
+    radius[:-1] += np.abs(b)
+    radius[1:] += np.abs(b)
+    lo, hi = float((a - radius).min()), float((a + radius).max())
+    slack = 16 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    x = seeded_vector(k) if x is None else np.pad(x, (0, k - len(x)))
+    if hi - lo <= slack:  # T is a multiple of the identity, up to slack
+        theta, x, _ = _rayleigh_tridiagonal(a, b, x)
+        return theta, x
+    for _ in range(8):
+        theta, x, residual = _rayleigh_tridiagonal(a, b, x)
+        if residual <= slack:
+            if not _count_above(alpha, beta, theta + 4 * slack, slack):
+                return theta, x
+            break
+        x = _solve_shifted(alpha, beta, theta, x.tolist(), slack)
+        if not np.isfinite(x).all():
+            break
+    while hi - lo > slack:  # about 50 halvings: slack >= 16 ulp(lo), ulp(hi)
+        mid = 0.5 * (lo + hi)
+        if _count_above(alpha, beta, mid, slack):
+            lo = mid
+        else:
+            hi = mid
+    x = seeded_vector(k)
+    for _ in range(3):
+        x = _solve_shifted(alpha, beta, hi, x.tolist(), slack)
+        x /= np.linalg.norm(x)
+    theta, x, _ = _rayleigh_tridiagonal(a, b, x)
+    return theta, x
+
+
+def _step(apply_op, q_prev, q, beta_prev: float, alpha=None):
+    """One step of the three-term recurrence: (alpha, w) with w = A q -
+    alpha q - beta_prev q_prev, alpha = <q, A q> unless given."""
+    w = apply_op(q)
+    if alpha is None:
+        alpha = float(np.real(np.vdot(q, w)))
+    w = w - alpha * q  # a copy: never update the operator's output
+    if q_prev is not None:
+        w -= beta_prev * q_prev
+    return alpha, w
+
+
+def _explicit_pair(apply_op, q, alphas, betas, s):
+    """(theta, residual) of the Ritz vector y = sum_j s_j q_j: the Lanczos
+    vectors q_j are regenerated from the unit start q by the recurrence
+    with the stored coefficients, bit for bit those of pass 1, and one more
+    matvec gives theta = <y, A y> and ||A y - theta y|| for the unit y."""
+    y = s[0] * q
+    q_prev = None
+    for j in range(1, len(s)):
+        _, w = _step(apply_op, q_prev, q, betas[j - 2] if j > 1 else 0.0,
+                     alphas[j - 1])
+        w /= betas[j - 1]
+        q_prev, q = q, w
+        y += s[j] * q
+    y /= np.linalg.norm(y)
+    ay = apply_op(y)
+    theta = float(np.real(np.vdot(y, ay)))
+    return theta, float(np.linalg.norm(ay - theta * y))
 
 
 def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
                     tol: float, dtype=np.float64,
                     max_basis: int = MAX_BASIS,
                     max_restarts: int = MAX_RESTARTS):
-    """Largest eigenvalue of a self-adjoint operator by thick-restart
-    Lanczos with full reorthogonalization.
+    """Largest eigenvalue of a self-adjoint operator by two-pass Lanczos
+    (Paige 1980; Cullum and Willoughby 1985).
 
-    A cycle that ends unconverged keeps its top max(1, m // 4) Ritz
-    vectors and the residual direction, so the projected matrix T of the
-    next cycle starts as diag(Ritz values) with an arrow row and column
-    (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  Returns
-    (theta, residual, converged) where theta is the Rayleigh quotient of
-    the top Ritz vector y (a certified lower bound) and residual =
-    ||A y - theta y||.
+    Pass 1 runs the three-term recurrence without reorthogonalization and
+    keeps its coefficients and two vectors.  Every 8 steps, at a breakdown
+    and at the last step, _tridiagonal_top finds the top Ritz pair
+    (theta, s) of the tridiagonal T_k; lost orthogonality only repeats
+    converged Ritz values, so the top one still converges to the top
+    eigenvalue.  Once |beta_k s_k| <= tol, pass 2 (_explicit_pair) replays
+    the recurrence to form the Ritz vector y and returns (theta, residual,
+    converged): theta, the Rayleigh quotient of y, is a certified lower
+    bound; residual = ||A y - theta y||; converged means residual <= tol,
+    or a breakdown.  Below the rounding floor ROUNDING_ULPS eps max|alpha|
+    a beta is a breakdown (the Krylov space is exhausted) and a residual
+    counts as <= tol, so the test does not depend on the operator's scale.
+    Otherwise pass 1 resumes, and the next replay waits until the step
+    count has doubled, so replays cost at most twice the pass-1 steps.
+    Pass 1 takes at most max_basis + (max_restarts - 1) * (max_basis -
+    max_basis // 4) steps.
     """
     v = np.asarray(start, dtype=dtype)
     nv = np.linalg.norm(v)
     if nv == 0:
         return 0.0, 0.0, True
-    complex_basis = np.issubdtype(dtype, np.complexfloating)
     check_every = 8
-    breakdown_ulp = ROUNDING_ULPS * np.finfo(float).eps
-    best = (-np.inf, np.inf)
-    m = min(max_basis, dim)
-    keep = min(max(1, m // 4), m - 1)
-    # Krylov basis as contiguous rows, shared by every restart
-    V = np.empty((m, dim), dtype=dtype)
-    T = np.zeros((m, m))
-    np.divide(v, nv, out=V[0])
-    first = 0  # rows kept from the previous cycle
-    for _ in range(max_restarts):
-        for j in range(first, m):
-            w = apply_op(V[j])
-            alpha = float(np.real(np.vdot(V[j], w)))
-            T[j, j] = alpha
-            w = w - alpha * V[j]  # a copy: never update the operator's output
-            if j > first:
-                w -= T[j - 1, j] * V[j - 1]
-            elif first:
-                w -= T[:first, j] @ V[:first]  # the arrow of a restart
-            # full reorthogonalization, two passes
-            active = V[: j + 1]
-            for _pass in range(2):
-                if complex_basis:
-                    coeffs = (active @ w.conj()).conj()
-                else:
-                    coeffs = active @ w
-                w -= coeffs @ active
-            beta = float(np.linalg.norm(w))
-            # rounding leaves a residual of a few ulps of the largest
-            # |T[i, i]|; below that the Krylov space is exhausted
-            breakdown = beta <= breakdown_ulp * max(
-                1.0, float(np.abs(np.diagonal(T)).max()))
-            if not breakdown and j + 1 < m:
-                np.divide(w, beta, out=V[j + 1])
-                T[j, j + 1] = T[j + 1, j] = beta
-            if breakdown or (j + 1) % check_every == 0 or j + 1 == m:
-                evals, evecs = _ritz_top(T, j + 1)
-                theta = float(evals[-1])
-                residual = abs(beta * evecs[-1, -1])
-                if theta > best[0]:
-                    best = (theta, residual)
-                if residual <= tol or breakdown or j + 1 >= dim:
-                    return best[0], residual, True
-        # thick restart: the top Ritz vectors, then the residual direction
-        top = evecs[:, m - keep:]
-        V[:keep] = top.T @ V
-        np.divide(w, beta, out=V[keep])
-        T[:] = 0.0
-        T[:keep, :keep] = np.diag(evals[m - keep:])
-        T[keep, :keep] = T[:keep, keep] = beta * top[-1]
-        first = keep
-    return best[0], best[1], False
+    steps = max_basis + (max_restarts - 1) * (max_basis - max_basis // 4)
+    alphas, betas, s = [], [], None
+    top_alpha, next_replay = 1.0, 0
+    q_prev, q = None, v / nv
+    while True:
+        alpha, w = _step(apply_op, q_prev, q, betas[-1] if betas else 0.0)
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        k = len(alphas)
+        top_alpha = max(top_alpha, abs(alpha))
+        floor = ROUNDING_ULPS * np.finfo(float).eps * top_alpha
+        breakdown = beta <= floor
+        if not breakdown:
+            w /= beta
+            q_prev, q = q, w
+        last = breakdown or k >= steps
+        if not last and k % check_every:
+            continue
+        _theta, s = _tridiagonal_top(alphas, betas[:-1], s)
+        done = max(tol, floor)
+        if not last and (abs(beta * s[-1]) > done or k < next_replay):
+            continue
+        theta, residual = _explicit_pair(apply_op, v / nv, alphas, betas, s)
+        if residual <= done or last:
+            return theta, residual, bool(residual <= done or breakdown)
+        next_replay = 2 * k
 
 
 def _bracket(sigma: float, sigma_hi: float, upper_bound: float | None,
@@ -173,7 +278,7 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
                            tol_rel: float = DEFAULT_TOL_REL) -> NormBracket:
     """Bracket for the largest singular value of M via Lanczos on M*M.
 
-    One solve on a MAX_BASIS-vector basis, whatever dim is, from 1 + u
+    One solve, holding a few dim-length vectors, from 1 + u
     with u = seeded_vector(dim), or from 1 + u + i u' for complex dtypes,
     u and u' the two halves of one draw: the uniform part meets every
     eigenvector, and the constant part points at the Perron vector of a

@@ -26,8 +26,8 @@ def cyclic(cache_dir):
 
 @pytest.fixture()
 def one_short_restart(monkeypatch):
-    """Every Lanczos solve gets one restart of an 8-vector basis, so
-    solves on operators of dimension > 8 end unconverged."""
+    """Every Lanczos solve gets a pass-1 budget of 8 steps (max_basis=8,
+    max_restarts=1), so solves that need more steps end unconverged."""
     solve = spectral.lanczos_extreme
 
     def short(*args, **kwargs):

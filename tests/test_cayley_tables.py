@@ -10,6 +10,7 @@ the closure that keys each element by its whole permutation.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,34 @@ def test_tree_refuses_tables_out_of_bfs_order():
         bfs_tree(np.array([[1, 1], [0, 0], [3, 3], [2, 2]], dtype=np.int32))
 
 
+def layer_ends_one_layer_at_a_time(parent):
+    """BFS layer ends by one step per layer: the children of the layer
+    [lo, hi) end at the first index whose parent is hi or more."""
+    child_end = np.searchsorted(parent, np.arange(len(parent) + 1))
+    ends = [1]
+    while ends[-1] < len(parent):
+        ends.append(int(child_end[ends[-1]]))
+    return ends
+
+
+@pytest.mark.parametrize("family,levels", [("fd", range(1, 5)),
+                                           ("congruence", range(2, 6)),
+                                           ("cyclic", range(1, 13))])
+def test_layer_ends_by_doubling_match_the_layer_loop(towers, family, levels):
+    for n in levels:
+        parent, _, layer_ends = bfs_tree(
+            bfs_order(towers[family].quotient(n).gen_perms))
+        assert layer_ends.dtype == np.int64
+        assert layer_ends.tolist() == layer_ends_one_layer_at_a_time(parent)
+
+
+@pytest.mark.parametrize("rank,radius", [(1, 0), (1, 1), (1, 37), (2, 1),
+                                         (2, 6), (3, 3)])
+def test_layer_ends_by_doubling_match_the_loop_on_balls(rank, radius):
+    parent, _, layer_ends = bfs_tree(BallIndex(rank, radius).table[:-1])
+    assert layer_ends.tolist() == layer_ends_one_layer_at_a_time(parent)
+
+
 @pytest.mark.parametrize("family", ["fd", "congruence"])
 def test_group_operations_match_permutations(towers, family):
     q = towers[family].quotient(3)
@@ -181,6 +210,32 @@ def test_kernel_refines_matches_paired_closure_on_nesting(towers):
                 assert got == paired_refines(p, q)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def whole_table_refines(p, q):
+    """kernel_refines by one comparison of the whole tables."""
+    phi = perms.propagate(q.table, p.parent, p.letter, p.layer_ends, 0)
+    return bool(np.array_equal(phi[p.table], q.table[phi]))
+
+
+def test_kernel_refines_column_by_column_matches_the_whole_table(towers):
+    fd = [towers["fd"].quotient(n) for n in range(1, 6)]
+    cong = [towers["congruence"].quotient(n) for n in range(2, 6)]
+    pairs = list(zip(fd[1:], fd)) + list(zip(cong[1:], cong))
+    for p, q in pairs:
+        assert kernel_refines(p, q) == whole_table_refines(p, q) is True
+    p, q = fd[2], fd[3]  # fd 3 does not map onto fd 4
+    assert kernel_refines(p, q) == whole_table_refines(p, q) is False
+    # one letter column at a time: phi, one gathered column and the
+    # comparison, where the whole tables take 2k = 4 intp per element
+    p, q = fd[4], fd[3]
+    tracemalloc.start()
+    try:
+        assert kernel_refines(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * p.order * np.dtype(np.intp).itemsize
 
 
 # -- the layer closure against bfs_order ------------------------------------

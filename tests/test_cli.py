@@ -186,6 +186,35 @@ def test_gap_rows_report_an_unconverged_level(cache, tmp_path,
     assert rows[3]["level"] == "4" and float(rows[3]["lower"]) < 6
     assert rows[3]["converged"] == "false"
     assert results["monotone_ok"] == "false"
+    # a real drop, above the slack 1e-8 * 6
+    assert float(rows[2]["lower"]) - float(rows[3]["lower"]) > 6e-8
+
+
+def test_monotone_check_is_scale_free(cache, tmp_path):
+    # a + A - b - B at scale 1e30: every fd lower endpoint reads
+    # 3.99999999999e+30 and they differ in the last bits only
+    scaled = element_json([("a", 1e30), ("A", 1e30), ("b", -1e30),
+                           ("B", -1e30)], 2)
+    out = tmp_path / "gap.csv"
+    assert run(["gap", "--family", "fd", "--n-max", "4", "--radius", "5",
+                "--element", scaled], cache, out) == 0
+    _, rows, results = parse_report(out.read_text())
+    assert results["monotone_ok"] == "true"
+    assert all(r["converged"] == "true" for r in rows)
+
+
+def test_solves_call_no_lapack(cache, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolver called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "tau.csv"
+    assert run(["tau", "--n-max", "4"], cache, out) == 0
+    _, _, results = parse_report(out.read_text())
+    assert results["converged"] == "true"
+    assert run(["gap", "--family", "fd", "--n-max", "4", "--radius", "3",
+                "--element", SIGNED], cache, tmp_path / "gap.csv") == 0
 
 
 # 2a + 2A - b - B + 2aab + 2BAA: fd level 4 computes the lower endpoint
