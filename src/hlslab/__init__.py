@@ -7,12 +7,12 @@ checks.
 """
 
 from .errors import DegenerateCertificateError, InputError, ResourceError
-from .groupoid import (AmenabilityCertificate, FiberedFunction, HLSGroupoid,
-                       NormProfile, adjoint_fibered, certificate_from_folner,
+from .groupoid import (AmenabilityCertificate, FiberedFunction, NormProfile,
+                       adjoint_fibered, certificate_from_folner,
                        check_certificate, convolve_fibered,
                        folner_from_certificate, infinity_norm_bracket,
-                       norm_profile, restrict_to_infinity, rho_norm,
-                       standard_lift, tau_spectral_gap, truncation_lower_bound)
+                       norm_profile, rho_norm, standard_lift,
+                       tau_spectral_gap, truncation_lower_bound)
 from .quotients import (ApproximatedGroup, FiniteQuotient,
                         enumerate_kernel_reps, kernel_refines)
 from .spectral import NormBracket
@@ -21,11 +21,10 @@ from .words import GroupAlgebraElement, Word, ball
 __all__ = [
     "AmenabilityCertificate", "ApproximatedGroup",
     "DegenerateCertificateError", "FiberedFunction", "FiniteQuotient",
-    "GroupAlgebraElement", "HLSGroupoid", "InputError", "NormBracket",
-    "NormProfile", "ResourceError", "Word", "adjoint_fibered", "ball",
+    "GroupAlgebraElement", "InputError", "NormBracket", "NormProfile",
+    "ResourceError", "Word", "adjoint_fibered", "ball",
     "certificate_from_folner", "check_certificate", "convolve_fibered",
     "enumerate_kernel_reps", "folner_from_certificate",
-    "infinity_norm_bracket", "kernel_refines", "norm_profile",
-    "restrict_to_infinity", "rho_norm", "standard_lift", "tau_spectral_gap",
-    "truncation_lower_bound",
+    "infinity_norm_bracket", "kernel_refines", "norm_profile", "rho_norm",
+    "standard_lift", "tau_spectral_gap", "truncation_lower_bound",
 ]

@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -155,9 +156,8 @@ def cmd_gap(config: ExperimentConfig) -> int:
     base.check_levels(levels)
     for n in levels:  # build every level, then profile
         base.quotient(n)
-    G = gpd.HLSGroupoid(base)
     t0 = time.monotonic()
-    profile = gpd.norm_profile(gpd.FiberedFunction(G, x), config.n_max,
+    profile = gpd.norm_profile(gpd.FiberedFunction(base, x), config.n_max,
                                config.radius, config.ball_cap)
     ceiling, flagged = profile.gap(config.margin, config.infinity_ceiling)
     wall = int((time.monotonic() - t0) * 1000)
@@ -206,8 +206,8 @@ def _parse_kset(config: ExperimentConfig) -> list:
 def cmd_amen(config: ExperimentConfig) -> int:
     xi = _load_element(config)
     kset = _parse_kset(config)
-    G = gpd.HLSGroupoid(_base(config))
-    cert = gpd.certificate_from_folner(xi, G, kset, config.epsilon)
+    cert = gpd.certificate_from_folner(xi, _base(config), kset,
+                                       config.epsilon)
     gpd.folner_from_certificate(cert)  # rejects degenerate certificates
     report = gpd.check_certificate(cert)
     rows = []
@@ -236,11 +236,8 @@ def _snapshot_path(config: ExperimentConfig) -> Path:
 def cmd_tau(config: ExperimentConfig) -> int:
     if config.rank < 2:
         raise InputError("the tau contrast needs a rank-2 family")
-    fd = ApproximatedGroup("fd", cache_dir=config.cache_dir,
-                           fiber_cap=config.fiber_cap,
-                           hom_level_cap=config.hom_level_cap)
-    cong = ApproximatedGroup("congruence", cache_dir=config.cache_dir,
-                             fiber_cap=config.fiber_cap)
+    fd, cong = (_base(replace(config, family=f))
+                for f in ("fd", "congruence"))
     levels = list(range(2, config.n_max + 1))
     fd.check_levels(levels)
     cong.check_levels(levels)
@@ -285,7 +282,6 @@ def cmd_tau(config: ExperimentConfig) -> int:
 def cmd_convolve_check(config: ExperimentConfig) -> int:
     """Randomized *-algebra property suite in exact rational arithmetic."""
     base = _base(config)
-    G = gpd.HLSGroupoid(base)
     rng = random.Random(2024)
     levels = [1, 2] if config.family == "fd" else [1, 2, 3]
     words = ball(2, config.rank)
@@ -308,7 +304,7 @@ def cmd_convolve_check(config: ExperimentConfig) -> int:
                 overrides[n] = {rng.randrange(q.order):
                                 Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                                 for _ in range(2)}
-        return gpd.FiberedFunction(G, tail, top, overrides)
+        return gpd.FiberedFunction(base, tail, top, overrides)
 
     for i in range(n_cases):
         f, g, h = random_fibered(), random_fibered(), random_fibered()

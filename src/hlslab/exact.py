@@ -68,9 +68,6 @@ class RationalComplex:
             return abs(self.im)
         return math.hypot(float(self.re), float(self.im))
 
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __eq__(self, other):
         if isinstance(other, RationalComplex):
             return self.re == other.re and self.im == other.im

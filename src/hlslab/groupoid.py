@@ -2,10 +2,12 @@
 fiber representations, certified norm brackets, and amenability
 certificates.
 
-A compactly supported continuous function on the groupoid is stored as a
-tail (its value on the infinity fiber, pushed forward to every fiber at or
-above a threshold level) plus finitely many explicit fiber overrides below
-the threshold.  Functions with zero tail are exactly the block-diagonal
+The groupoid is the tower of finite quotients over N with the free group
+at infinity, so an ApproximatedGroup stands for it.  A compactly
+supported continuous function on the groupoid is stored as a tail (its
+value on the infinity fiber, pushed forward to every fiber at or above a
+threshold level) plus finitely many explicit fiber overrides below the
+threshold.  Functions with zero tail are exactly the block-diagonal
 part supported over the finite fibers.
 """
 
@@ -32,21 +34,6 @@ DEFAULT_LIFT_DEPTH_CAP = 20
 TRUNCATION_TOL_REL = 1e-9  # the ball solve's requested relative width
 
 
-class HLSGroupoid:
-    """Bundle of the finite quotients over N with the free group at
-    infinity."""
-
-    def __init__(self, base: ApproximatedGroup):
-        self.base = base
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank
-
-    def quotient(self, n: int) -> FiniteQuotient:
-        return self.base.quotient(n)
-
-
 def _clean(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
 
@@ -57,7 +44,7 @@ class FiberedFunction:
     threshold level.  f(n,.) = pushforward of tail for n >= threshold,
     overrides[n] (default 0) for n < threshold, tail itself at infinity."""
 
-    groupoid: HLSGroupoid
+    groupoid: ApproximatedGroup
     tail: GroupAlgebraElement
     threshold: int = 1
     overrides: dict = field(default_factory=dict)  # n -> {elem index: coeff}
@@ -84,9 +71,6 @@ class FiberedFunction:
         if n < self.threshold:
             return dict(self.overrides.get(n, {}))
         return self.groupoid.quotient(n).pushforward(self.tail)
-
-    def is_tail_zero(self) -> bool:
-        return not self.tail.coeffs
 
     def override_levels(self) -> list[int]:
         return sorted(self.overrides)
@@ -139,17 +123,12 @@ def adjoint_fibered(f: FiberedFunction) -> FiberedFunction:
     return FiberedFunction(f.groupoid, f.tail.adjoint(), f.threshold, overrides)
 
 
-def restrict_to_infinity(f: FiberedFunction) -> GroupAlgebraElement:
-    """The quotient map onto the group algebra of the base group."""
-    return f.tail
-
-
-def standard_lift(x: GroupAlgebraElement, groupoid: HLSGroupoid,
+def standard_lift(x: GroupAlgebraElement, groupoid: ApproximatedGroup,
                   depth_cap: int = DEFAULT_LIFT_DEPTH_CAP) -> FiberedFunction:
     """The canonical lift of x: zero below the first level whose quotient
     map is injective on supp(x), pushforward of x from there on."""
     support = x.support()
-    n = groupoid.base.separation_level(support, depth_cap=depth_cap)
+    n = groupoid.separation_level(support, depth_cap=depth_cap)
     return FiberedFunction(groupoid, x, n, {})
 
 
@@ -236,10 +215,9 @@ def _radial_scale(x: GroupAlgebraElement) -> float | None:
     return c.real if c.imag == 0 and c.real > 0 else None
 
 
-def _radial_bracket(c: float, rank: int, radius: int,
-                    ball_cap: int) -> NormBracket:
-    """Bracket for the norm of the compression of c * (generator sum) to
-    the ball of the given radius, from its exact radial reduction.
+def _radial_lower(c: float, rank: int, radius: int, ball_cap: int) -> float:
+    """Lower bound for the norm of the compression of c * (generator sum)
+    to the ball of the given radius, from its exact radial reduction.
 
     The compression M is nonnegative and commutes with the tree
     automorphisms fixing the root, so its Perron vector is radial.  On the
@@ -249,9 +227,8 @@ def _radial_bracket(c: float, rank: int, radius: int,
     phi_j = sin((r+1-j) t) for j >= 1 and phi_0 = b0 phi_1 / lambda, where
     t is the root in (0, pi/(r+1)) of 2q^2 cos t sin((r+1) t) =
     b0^2 sin(r t).  Whatever the accuracy of t, the Rayleigh quotient of
-    phi (that of the lifted radial vector on M) is a lower endpoint and
-    max_j (T phi)_j / phi_j (Collatz-Wielandt) an upper one; each is
-    moved outward by ROUNDING_ULPS ulps of max(value, 1).
+    phi (that of the lifted radial vector on M) is a lower bound; it is
+    moved down by ROUNDING_ULPS ulps of max(value, 1).
     """
     if radius + 1 > ball_cap:
         raise ResourceError(
@@ -259,7 +236,7 @@ def _radial_bracket(c: float, rank: int, radius: int,
             f"{radius + 1} points, exceeding the configured element cap "
             f"{ball_cap}")
     if radius == 0:
-        return NormBracket(0.0, 0.0, "truncation", "collatz-wielandt")
+        return 0.0
     k2 = 2 * rank
 
     def secular(t):  # positive on (0, t*), negative at pi/(r+1)
@@ -283,25 +260,23 @@ def _radial_bracket(c: float, rank: int, radius: int,
     t_phi[:-1] += off * phi[1:]
     t_phi[1:] += off * phi[:-1]
     rayleigh = float(phi @ t_phi / (phi @ phi))
-    cw = float(np.max(t_phi / phi))
     ulps = ROUNDING_ULPS * float(np.finfo(float).eps)
-    lower = rayleigh - ulps * max(rayleigh, 1.0)
-    upper = cw + ulps * max(cw, 1.0)
-    return NormBracket(max(lower, 0.0), upper, "truncation",
-                       "collatz-wielandt")
+    return max(rayleigh - ulps * max(rayleigh, 1.0), 0.0)
 
 
-def _truncation_bracket(x: GroupAlgebraElement, radius: int,
-                        ball_cap: int) -> NormBracket:
-    """Bracket for the norm of the compression of x to the ball of the
-    given radius: the radial reduction for a positive multiple of the
-    generator sum in rank >= 2, Lanczos on the ball otherwise.  The cap
-    bounds the points the chosen path stores.  An unconverged solve yields
-    its bracket, with converged False: the Rayleigh lower endpoint is
-    still certified."""
+def _truncation_lower(x: GroupAlgebraElement, radius: int,
+                      ball_cap: int) -> tuple[float, bool]:
+    """(lower, converged): a lower bound for the norm of the compression
+    of x to the ball of the given radius, by the radial reduction for a
+    positive multiple of the generator sum in rank >= 2, by Lanczos on the
+    ball otherwise.  The cap bounds the points the chosen path stores.
+    The ball path reads the l1 norm first, so a norm too large to solve is
+    refused before the solve.  An unconverged solve yields its Rayleigh
+    lower bound, still certified, with converged False."""
     c = _radial_scale(x)
     if c is not None:
-        return _radial_bracket(c, x.rank, radius, ball_cap)
+        return _radial_lower(c, x.rank, radius, ball_cap), True
+    l1 = x.l1_norm()
     bi = BallIndex(x.rank, radius, cap=ball_cap)
     dtype = _fiber_dtype(x.coeffs)
     x_star = x.adjoint()
@@ -310,10 +285,9 @@ def _truncation_bracket(x: GroupAlgebraElement, radius: int,
     compressions = [
         _gather_matvec([(c, gathers[w]) for w, c in y.coeffs.items()],
                        bi.size, dtype) for y in (x, x_star)]
-    return singular_value_bracket(
-        *compressions, bi.size, upper_bound=None,
-        lower_provenance="truncation", dtype=dtype,
-        tol_rel=TRUNCATION_TOL_REL)
+    bracket = singular_value_bracket(*compressions, bi.size, l1, dtype=dtype,
+                                     tol_rel=TRUNCATION_TOL_REL)
+    return bracket.lower, bracket.converged
 
 
 def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
@@ -323,7 +297,7 @@ def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
     free-group norm, also when the solve did not converge."""
     if not x.coeffs:
         return 0.0
-    return _truncation_bracket(x, radius, ball_cap).lower
+    return _truncation_lower(x, radius, ball_cap)[0]
 
 
 def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
@@ -334,22 +308,25 @@ def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
     if not x.coeffs:
         return NormBracket(0.0, 0.0, "truncation", "l1")
     l1 = x.l1_norm()  # refuses a norm too large to solve, before the solve
-    truncation = _truncation_bracket(x, radius, ball_cap)
+    lower, converged = _truncation_lower(x, radius, ball_cap)
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:
         haag = x.haagerup_bound()
         if haag < upper:
             upper, upper_prov = haag, "haagerup"
-    return NormBracket(min(truncation.lower, upper), upper, "truncation",
-                       upper_prov, truncation.converged)
+    return NormBracket(min(lower, upper), upper, "truncation", upper_prov,
+                       converged)
 
 
-def rho_norm(f: FiberedFunction, n, radius: int = 8,
+def rho_norm(f: FiberedFunction, n, radius: int | None = None,
              ball_cap: int = DEFAULT_BALL_CAP) -> NormBracket:
     """Norm bracket of the fiber representation rho_n(f); n may be a level
-    or the infinity marker "inf".  rho_norm(FiberedFunction(G, x), n) is
-    the quasi-regular norm of x at level n."""
+    or the infinity marker "inf", whose bracket needs the truncation
+    radius (a finite level ignores it).  rho_norm(FiberedFunction(G, x),
+    n) is the quasi-regular norm of x at level n."""
     if n == INFINITY:
+        if radius is None:
+            raise InputError("the infinity fiber needs a truncation radius")
         return infinity_norm_bracket(f.tail, radius, ball_cap)
     return fiber_norm_bracket(f.groupoid.quotient(n), f.fiber(n))
 
@@ -529,7 +506,8 @@ def check_certificate(cert: AmenabilityCertificate) -> CertificateReport:
     return CertificateReport(tuple(rows), cert.epsilon)
 
 
-def certificate_from_folner(xi: GroupAlgebraElement, groupoid: HLSGroupoid,
+def certificate_from_folner(xi: GroupAlgebraElement,
+                            groupoid: ApproximatedGroup,
                             K, epsilon: float) -> AmenabilityCertificate:
     """eta(n, g) = sum of xi over the preimage of g: threshold-1 fibered
     function whose groupoid defects equal the group defects of xi."""

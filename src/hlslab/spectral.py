@@ -11,8 +11,7 @@ start is drawn by seeded_vector from the standard-library generator, so
 no run loads numpy.random.  Lower bounds are Rayleigh quotients of
 explicit Ritz vectors (always valid for the top eigenvalue of a
 self-adjoint operator) less a rounding allowance; upper bounds combine
-the explicit residual with whatever a-priori bound (l1, Haagerup) the
-caller supplies.
+the explicit residual with the a-priori bound (l1) the caller supplies.
 """
 
 from __future__ import annotations
@@ -47,17 +46,10 @@ class NormBracket:
     converged: bool = True
 
     def __post_init__(self):
-        if self.lower < 0 or self.upper < self.lower - 1e-12:
+        # written so that a nan endpoint fails the check too
+        if not 0 <= self.lower <= self.upper + 1e-12:
             raise ValueError(
                 f"invalid bracket [{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
     def max(self, other: "NormBracket") -> "NormBracket":
         """Endpointwise max: bracket for max of the two norms, converged
@@ -258,23 +250,21 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
         next_replay = 2 * k
 
 
-def _bracket(sigma: float, sigma_hi: float, upper_bound: float | None,
-             lower_provenance: str, converged: bool = True) -> NormBracket:
+def _bracket(sigma: float, sigma_hi: float, upper_bound: float,
+             converged: bool = True) -> NormBracket:
     """[sigma, min(sigma_hi, upper_bound)]; the upper endpoint is tagged
     "l1" only when the caller's bound is the smaller one.  A sigma rounded
     above that endpoint is clipped to it, so the caller's bound stays a
     bound."""
     upper, upper_provenance = upper_bound, "l1"
-    if upper_bound is None or sigma_hi < upper_bound:
+    if sigma_hi < upper_bound:
         upper, upper_provenance = sigma_hi, RESIDUAL_PROVENANCE
-    return NormBracket(min(sigma, upper), upper, lower_provenance,
+    return NormBracket(min(sigma, upper), upper, "fiber-representation",
                        upper_provenance, converged)
 
 
 def singular_value_bracket(apply_m, apply_m_star, dim: int,
-                           upper_bound: float | None = None,
-                           lower_provenance: str = "fiber-representation",
-                           dtype=np.float64,
+                           upper_bound: float, dtype=np.float64,
                            tol_rel: float = DEFAULT_TOL_REL) -> NormBracket:
     """Bracket for the largest singular value of M via Lanczos on M*M.
 
@@ -283,13 +273,13 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     u and u' the two halves of one draw: the uniform part meets every
     eigenvector, and the constant part points at the Perron vector of a
     nonnegative M*M.  The lower endpoint is sqrt(theta) less a rounding
-    allowance; the upper one is the smaller of sqrt(theta + residual)
-    plus the same allowance, tagged "lanczos-residual", and the caller's
-    upper_bound, tagged "l1".  converged is the solve's flag; the
-    endpoints are valid either way.
+    allowance, tagged "fiber-representation"; the upper one is the smaller
+    of sqrt(theta + residual) plus the same allowance, tagged
+    "lanczos-residual", and the caller's upper_bound, tagged "l1".
+    converged is the solve's flag; the endpoints are valid either way.
     """
     if dim == 0:
-        return NormBracket(0.0, 0.0, lower_provenance, "l1")
+        return NormBracket(0.0, 0.0, "fiber-representation", "l1")
 
     def apply_a(x):
         return apply_m_star(apply_m(x))
@@ -297,7 +287,7 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     if dim == 1:
         v = np.ones(1, dtype=dtype)
         sigma = float(np.sqrt(max(np.real(apply_a(v)[0]), 0.0)))
-        return _bracket(sigma, sigma, upper_bound, lower_provenance)
+        return _bracket(sigma, sigma, upper_bound)
 
     if np.issubdtype(dtype, np.complexfloating):
         u = seeded_vector(2 * dim)
@@ -312,4 +302,4 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     slack = ROUNDING_ULPS * np.finfo(float).eps * max(abs(theta), 1.0)
     sigma = float(np.sqrt(max(theta - slack, 0.0)))
     sigma_hi = float(np.sqrt(max(theta + res + slack, 0.0)))
-    return _bracket(sigma, sigma_hi, upper_bound, lower_provenance, converged)
+    return _bracket(sigma, sigma_hi, upper_bound, converged)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hlslab.cli import main
-from hlslab.groupoid import (INFINITY, FiberedFunction, HLSGroupoid,
+from hlslab.groupoid import (INFINITY, FiberedFunction,
                              adjoint_fibered, certificate_from_folner,
                              check_certificate, convolve_fibered,
                              fiber_norm_bracket, folner_from_certificate,
@@ -133,8 +133,7 @@ def test_criterion_2_divisibility_and_nesting(fd, congruence, cyclic):
 # -- 3: fiber norm exactness ----------------------------------------------------
 
 def test_criterion_3_fiber_norm_exactness(fd, cyclic):
-    G = HLSGroupoid(fd)
-    f = FiberedFunction(G, gen_sum(), 1, {})
+    f = FiberedFunction(fd, gen_sum(), 1, {})
     ok = True
     worst = 0.0
     for n in (1, 2, 3, 4):
@@ -142,7 +141,6 @@ def test_criterion_3_fiber_norm_exactness(fd, cyclic):
         worst = max(worst, abs(br.lower - 4.0), abs(br.upper - 4.0))
     ok = ok and worst <= 1e-8
     # cyclic fibers against the character formula
-    Gc = HLSGroupoid(cyclic)
     rng = random.Random(17)
     a = Word((1,), 1)
     worst_c = 0.0
@@ -157,7 +155,7 @@ def test_criterion_3_fiber_norm_exactness(fd, cyclic):
                 abs(sum(c * cmath.exp(2j * math.pi * j * k / N)
                         for j, c in coeffs.items()))
                 for k in range(N))
-            br = rho_norm(FiberedFunction(Gc, x), n)
+            br = rho_norm(FiberedFunction(cyclic, x), n)
             worst_c = max(worst_c, abs(br.lower - expected))
     ok = ok and worst_c <= 1e-9 * 20
     report("criterion 3: generator-sum FD fiber norms = 4 within 1e-8; "
@@ -172,13 +170,12 @@ def test_criterion_4_monotonicity(fd, congruence):
     words = ball(2, 2)
     ok = True
     for base in (fd, congruence):
-        G = HLSGroupoid(base)
         for _ in range(10):
             x = GroupAlgebraElement.from_pairs(
                 [(rng.choice(words), rng.uniform(-2, 2)) for _ in range(4)],
                 2)
             x = x + x.adjoint()
-            f = FiberedFunction(G, x, 1, {})
+            f = FiberedFunction(base, x, 1, {})
             lows = [rho_norm(f, n).lower for n in (1, 2, 3, 4)]
             for a, b in zip(lows, lows[1:]):
                 ok = ok and b + 1e-8 >= a
@@ -191,12 +188,11 @@ def test_criterion_4_monotonicity(fd, congruence):
 def test_criterion_5_gap_experiment(fd):
     t0 = time.monotonic()
     x = gen_sum()
-    G = HLSGroupoid(fd)
     truncs = [truncation_lower_bound(x, r) for r in (2, 6, 12)]
     monotone = all(b + 1e-9 >= a for a, b in zip(truncs, truncs[1:]))
     sqrt7_ok = abs(truncs[0] - math.sqrt(7)) < 1e-9
     ceiling_ok = all(t <= KESTEN_4_REGULAR + 1e-6 for t in truncs)
-    profile = norm_profile(FiberedFunction(G, x), 3, radius=6)
+    profile = norm_profile(FiberedFunction(fd, x), 3, radius=6)
     _, flagged = profile.gap(0.25, KESTEN_4_REGULAR)
     sup_ok = (abs(profile.sup_finite.lower - 4.0) < 1e-8
               and abs(profile.sup_finite.upper - 4.0) < 1e-8)
@@ -212,10 +208,9 @@ def test_criterion_5_gap_experiment(fd):
 # -- 6: amenable control ----------------------------------------------------------
 
 def test_criterion_6_amenable_control(cyclic):
-    G = HLSGroupoid(cyclic)
     x = GroupAlgebraElement.from_pairs(
         [(Word((1,), 1), 1.0), (Word((-1,), 1), 1.0)], 1)
-    profile = norm_profile(FiberedFunction(G, x), 8, radius=3200)
+    profile = norm_profile(FiberedFunction(cyclic, x), 8, radius=3200)
     sup_ok = abs(profile.sup_finite.lower - 2.0) < 1e-6
     inf_ok = (abs(profile.infinity.lower - 2.0) < 1e-6
               and abs(profile.infinity.upper - 2.0) < 1e-6)
@@ -246,11 +241,10 @@ def test_criterion_7_block_diagonal_norms(fd, congruence):
     bases = [(fd, [2, 3, 4]), (congruence, [2, 3, 4])]
     while cases < 20:
         base, levels = bases[cases % 2]
-        G = HLSGroupoid(base)
         top = rng.choice(levels)
         overrides = {}
         for n in range(1, top + 1):
-            q = G.quotient(n)
+            q = base.quotient(n)
             if q.order > 500:
                 continue
             if rng.random() < 0.7:
@@ -260,11 +254,11 @@ def test_criterion_7_block_diagonal_norms(fd, congruence):
                     for _ in range(3)}
         if not overrides:
             continue
-        f = FiberedFunction(G, GroupAlgebraElement.zero(2), top + 1,
+        f = FiberedFunction(base, GroupAlgebraElement.zero(2), top + 1,
                             overrides)
         rep = norm_profile(f, top, radius=8)
         expected = max(
-            float(np.linalg.norm(rho_dense(G.quotient(n), fib), 2))
+            float(np.linalg.norm(rho_dense(base.quotient(n), fib), 2))
             for n, fib in overrides.items())
         err = max(abs(rep.reduced.lower - expected),
                   abs(rep.reduced.upper - expected))
@@ -278,7 +272,6 @@ def test_criterion_7_block_diagonal_norms(fd, congruence):
 # -- 8: *-algebra suite -------------------------------------------------------------
 
 def test_criterion_8_star_algebra_suite(fd):
-    G = HLSGroupoid(fd)
     rng = random.Random(8)
     words = ball(2, 2)
 
@@ -290,11 +283,11 @@ def test_criterion_8_star_algebra_suite(fd):
         top = rng.choice([1, 2, 3])
         overrides = {}
         for n in range(1, top):
-            q = G.quotient(n)
+            q = fd.quotient(n)
             overrides[n] = {rng.randrange(q.order):
                             Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                             for _ in range(2)}
-        return FiberedFunction(G, tail, top, overrides)
+        return FiberedFunction(fd, tail, top, overrides)
 
     ok = True
     for _ in range(100):
@@ -307,7 +300,7 @@ def test_criterion_8_star_algebra_suite(fd):
 
     # representation property, exact, on fibers of order <= 200
     for n in (2, 3):
-        q = G.quotient(n)
+        q = fd.quotient(n)
         if q.order > 200:
             continue
         for _ in range(3):
@@ -333,14 +326,13 @@ def test_criterion_8_star_algebra_suite(fd):
 # -- 9: certificate round-trip --------------------------------------------------------
 
 def test_criterion_9_certificate_round_trip(cyclic):
-    G = HLSGroupoid(cyclic)
     a = Word((1,), 1)
     ok = True
     for n in (3, 5, 7):  # N = 8, 32, 128
         N = 2 ** n
         xi = GroupAlgebraElement.from_pairs(
             [(a ** j, Fraction(1, N)) for j in range(N)], 1)
-        cert = certificate_from_folner(xi, G, [(INFINITY, a)], 3.0 / N)
+        cert = certificate_from_folner(xi, cyclic, [(INFINITY, a)], 3.0 / N)
         rep = check_certificate(cert)
         defect = rep.rows[0].translation_defect
         ok = ok and defect == Fraction(2, N)

@@ -158,6 +158,19 @@ def test_bracket_max_keeps_an_unconverged_flag():
     assert done.max(done).converged
 
 
+@pytest.mark.parametrize("lower,upper", [
+    (float("nan"), 1.0), (0.0, float("nan")), (float("nan"), float("nan")),
+    (-1e-300, 1.0), (1.0, 1.0 - 2e-12)])
+def test_bracket_refuses_an_invalid_interval(lower, upper):
+    with pytest.raises(ValueError):
+        NormBracket(lower, upper, "truncation", "l1")
+
+
+def test_bracket_allows_rounding_slack():
+    assert NormBracket(1.0, 1.0 - 1e-13, "truncation", "l1").lower == 1.0
+    assert NormBracket(0.0, float("inf"), "truncation", "l1").lower == 0.0
+
+
 def test_seeded_vector_is_deterministic_and_in_range():
     u = spectral.seeded_vector(10_000)
     assert u.dtype == np.float64 and u.shape == (10_000,)
@@ -177,7 +190,7 @@ def test_bracket_starts_from_one_seeded_draw(monkeypatch, dtype):
         return solve(apply_op, dim, start, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "lanczos_extreme", recording)
-    spectral.singular_value_bracket(lambda x: x, lambda x: x, dim,
+    spectral.singular_value_bracket(lambda x: x, lambda x: x, dim, 1.0,
                                     dtype=dtype)
     (start,) = starts
     if dtype is np.complex128:
@@ -208,10 +221,12 @@ def test_bracket_basis_never_exceeds_max_basis():
         calls[0] += 1
         return diag * x
 
+    # a loose a-priori bound, so the upper endpoint is the solve's own
     b, peak = _peak_bytes(spectral.singular_value_bracket, apply,
-                          lambda x: diag * x, dim)
+                          lambda x: diag * x, dim, 2.0)
     assert b.converged
     assert abs(b.lower - 1.002) < 1e-9 and b.upper >= 1.002
+    assert b.upper_provenance == spectral.RESIDUAL_PROVENANCE
     assert calls[0] > 2 * spectral.MAX_BASIS
     assert peak < 10 * dim * 8
 
