@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -196,10 +197,20 @@ def _parse_kset(config: ExperimentConfig) -> list:
         raw = json.loads(config.kset)
     except json.JSONDecodeError as e:
         raise InputError(f"bad K set JSON: {e}") from e
+    if not isinstance(raw, list):
+        raise InputError("a K set must be a JSON list of [level, word] pairs")
     out = []
-    for level, word_s in raw:
-        w = Word.parse(word_s, config.rank)
-        out.append(("inf" if level == "inf" else int(level), w))
+    for pair in raw:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InputError(f"bad K set entry {pair!r}: expected [level, "
+                             "word]")
+        level, word_s = pair
+        if isinstance(level, str) and level.isdecimal():
+            level = int(level)
+        if level != "inf" and not (type(level) is int and level >= 1):
+            raise InputError(f"bad K set level {pair[0]!r}: expected \"inf\" "
+                             "or an integer >= 1")
+        out.append((level, Word.parse(word_s, config.rank)))
     return out
 
 
@@ -233,9 +244,33 @@ def _snapshot_path(config: ExperimentConfig) -> Path:
     return Path(config.cache_dir) / "snapshots" / "tau-congruence.json"
 
 
+def _read_snapshot(path: Path) -> dict:
+    """The values of a tau snapshot file, level -> recorded value; an
+    InputError names the file unless it holds a snapshot of this format."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as e:
+        raise InputError(f"bad tau snapshot {path}: {e}") from e
+    if not (isinstance(data, dict)
+            and data.get("format_version") == SNAPSHOT_FORMAT_VERSION):
+        raise InputError(f"bad tau snapshot {path}: not a format "
+                         f"{SNAPSHOT_FORMAT_VERSION} snapshot")
+    values = data.get("values", {})
+    if not (isinstance(values, dict)
+            and all(type(v) in (int, float) and math.isfinite(v)
+                    for v in values.values())):
+        raise InputError(f"bad tau snapshot {path}: values must be finite "
+                         "numbers")
+    return values
+
+
 def cmd_tau(config: ExperimentConfig) -> int:
     if config.rank < 2:
         raise InputError("the tau contrast needs a rank-2 family")
+    snap_path = _snapshot_path(config)
+    recorded = {}  # read before any work, so a bad file fails fast
+    if snap_path.exists() and not config.update_snapshots:
+        recorded = _read_snapshot(snap_path)
     fd, cong = (_base(replace(config, family=f))
                 for f in ("fd", "congruence"))
     levels = list(range(2, config.n_max + 1))
@@ -250,20 +285,13 @@ def cmd_tau(config: ExperimentConfig) -> int:
     rows = [{"level": n, "fd_second_eigenvalue": fv,
              "congruence_second_eigenvalue": cv}
             for n, (fv, _), (cv, _) in zip(levels, fd_res, cong_res)]
-    snap_path = _snapshot_path(config)
     snapshot_ok = True
-    recorded = {}
-    if snap_path.exists() and not config.update_snapshots:
-        data = json.loads(snap_path.read_text())
-        if data.get("format_version") != SNAPSHOT_FORMAT_VERSION:
-            raise InputError("unsupported tau snapshot format version")
-        recorded = data.get("values", {})
-        for n, cv in zip(levels, cong_vals):
-            old = recorded.get(str(n))
-            if old is not None and abs(old - cv) > 1e-6:
-                snapshot_ok = False
-                print(f"tau snapshot mismatch at level {n}: "
-                      f"recorded {old}, computed {cv}", file=sys.stderr)
+    for n, cv in zip(levels, cong_vals):
+        old = recorded.get(str(n))
+        if old is not None and abs(old - cv) > 1e-6:
+            snapshot_ok = False
+            print(f"tau snapshot mismatch at level {n}: "
+                  f"recorded {old}, computed {cv}", file=sys.stderr)
     new_values = dict(recorded)
     new_values.update({str(n): cv for n, cv in zip(levels, cong_vals)})
     if config.update_snapshots or not snap_path.exists():

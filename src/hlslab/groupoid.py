@@ -141,10 +141,7 @@ def _fiber_dtype(coeffs: dict):
 
 
 def _scalar(c, dtype):
-    """c as an entry of an operator of the given dtype; object keeps it
-    exact."""
-    if dtype is object:
-        return c
+    """c as an entry of an operator of the given float or complex dtype."""
     c = complex(c)
     return c if np.issubdtype(dtype, np.complexfloating) else c.real
 

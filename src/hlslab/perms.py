@@ -8,9 +8,11 @@ as one int64 key, and each BFS layer is one gather per letter.
 bfs_order keys each element by its whole permutation and visits
 elements one at a time; it is the cheaper of the two on the many tiny
 capped closures of kernel enumeration.  bfs_tree derives a table's BFS
-tree, and propagate walks the tree through a table.  Permutations are
-numpy int64/int32 arrays p with p[i] = image of point i; composition is
-(p @ q)(i) = p[q[i]].
+tree, and propagate walks the tree through a table.  schreier_sims_order
+checks an order without either closure: Sims' algorithm completes a
+stabilizer chain with full transversals one level at a time, from the
+deepest up.  Permutations are numpy int64/int32 arrays p with p[i] =
+image of point i; composition is (p @ q)(i) = p[q[i]] = p.take(q)[i].
 """
 
 from __future__ import annotations
@@ -23,22 +25,10 @@ import numpy as np
 from .errors import ResourceError
 
 
-def identity_perm(degree: int) -> np.ndarray:
-    return np.arange(degree, dtype=np.int32)
-
-
-def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return p[q]
-
-
 def invert(p: np.ndarray) -> np.ndarray:
     out = np.empty_like(p)
     out[p] = np.arange(len(p), dtype=p.dtype)
     return out
-
-
-def is_identity(p: np.ndarray) -> bool:
-    return bool(np.array_equal(p, np.arange(len(p), dtype=p.dtype)))
 
 
 def bfs_order(gens: list[np.ndarray], cap: int | None = None):
@@ -59,7 +49,7 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
         letters.append(invert(letters[-1]))
     letters = np.stack(letters)
     width = letters.itemsize * degree
-    found = [identity_perm(degree).tobytes()]
+    found = [np.arange(degree, dtype=np.int32).tobytes()]
     seen = {found[0]: 0}
     table = array("i")
     for element in found:  # grows while it is walked
@@ -200,83 +190,67 @@ def propagate(table: np.ndarray, parent: np.ndarray, letter: np.ndarray,
     return out
 
 
-def _orbit_transversal(beta: int, gens: list[np.ndarray], degree: int):
-    trans = {beta: identity_perm(degree)}
-    queue = [beta]
-    while queue:
-        p = queue.pop(0)
-        u = trans[p]
-        for s in gens:
-            q = int(s[p])
-            if q not in trans:
-                trans[q] = compose(s, u)
-                queue.append(q)
-    return trans
-
-
 def schreier_sims_order(gens: list[np.ndarray]) -> int:
-    """Group order via a stabilizer chain (independent of BFS counting)."""
-    gens = [np.asarray(g, dtype=np.int32) for g in gens if not is_identity(g)]
+    """|<gens>| by Sims' algorithm: the product of the basic orbit sizes
+    of a stabilizer chain read from the generators alone (no Cayley table,
+    no BFS count; Holt, Eick and O'Brien 2005, 4.4.2).
+
+    Level i holds a base point base[i], strong generators strong[i] fixing
+    base[:i] and a full transversal trans[i]: for each point p of the
+    orbit of base[i], the inverse of a u_p with u_p(base[i]) = p.  Level 0
+    holds gens.  Levels are completed from the deepest one up: each
+    Schreier generator u_(s(p))^-1 s u_p of level i is sifted from level
+    i + 1, and a non-identity residue h left at level j joins levels
+    i + 1 ... j, whose orbits are rebuilt, and the work resumes at level
+    j.  Level i is complete when every Schreier generator sifts to the
+    identity.  The group is finite, so orbits need no inverse generators.
+    """
+    gens = [np.asarray(g, dtype=np.int32) for g in gens]
+    ident = np.arange(len(gens[0]) if gens else 0, dtype=np.int32)
+    gens = [g for g in gens if not np.array_equal(g, ident)]
     if not gens:
         return 1
-    degree = len(gens[0])
-    levels: list[dict] = []  # {'beta', 'gens', 'trans'}
+    base, strong, trans = [], [], []  # p.take(q) is p[q], and faster
 
-    def strip(g):
-        for i, lvl in enumerate(levels):
-            img = int(g[lvl["beta"]])
-            u = lvl["trans"].get(img)
-            if u is None:
-                return g, i
-            g = compose(invert(u), g)
-        return g, len(levels)
+    def add(h, i):
+        """h, which fixes base[:i], joins level i; its orbit is rebuilt."""
+        if i == len(base):  # a new base point, one that h moves
+            base.append(int(np.flatnonzero(h != ident)[0]))
+            strong.append([])
+            trans.append(None)
+        strong[i].append((h, invert(h)))
+        t, orbit = {base[i]: ident}, [base[i]]
+        for p in orbit:  # grows while it is walked
+            for s, s_inv in strong[i]:
+                q = int(s[p])
+                if q not in t:  # u_q = s u_p
+                    t[q] = t[p].take(s_inv)
+                    orbit.append(q)
+        trans[i] = t
 
-    def gens_at(i):
-        # strong generators fixing the first i base points: everything
-        # installed at level i or deeper
-        out = []
-        for lvl in levels[i:]:
-            out.extend(lvl["gens"])
-        return out
-
-    def sift_in(g):
-        """Sift g; if a nontrivial residue remains, install it.  Returns
-        True when the chain changed."""
-        h, i = strip(g)
-        if is_identity(h):
-            return False
-        if i == len(levels):
-            beta = int(np.nonzero(h != np.arange(degree))[0][0])
-            levels.append({"beta": beta, "gens": [],
-                           "trans": {beta: identity_perm(degree)}})
-        levels[i]["gens"].append(h)
-        # the new generator lives in every stabilizer up to level i, so all
-        # of those orbits may grow
-        for j in range(i + 1):
-            levels[j]["trans"] = _orbit_transversal(
-                levels[j]["beta"], gens_at(j), degree)
-        return True
+    def residue(i):
+        """(h, j) for the first Schreier generator of level i that sifts
+        to a non-identity h at level j; (None, i - 1) if none does, for
+        level i is then complete."""
+        for p, u_inv in trans[i].items():
+            for s, _ in strong[i]:
+                w = trans[i][int(s[p])].take(s)  # u_(s(p))^-1 s
+                if np.array_equal(w, u_inv):  # s u_p is u_(s(p))
+                    continue
+                h, j = np.empty_like(w), i + 1
+                h[u_inv] = w  # h = w u_p
+                while j < len(base) and int(h[base[j]]) in trans[j]:
+                    h, j = trans[j][int(h[base[j]])].take(h), j + 1
+                if not np.array_equal(h, ident):
+                    return h, j
+        return None, i - 1
 
     for g in gens:
-        sift_in(g)
-        sift_in(invert(g))
-
-    # closure: all Schreier generators must sift to the identity
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(levels)):
-            lvl = levels[i]
-            for p, u in list(lvl["trans"].items()):
-                for s in gens_at(i):
-                    rep = lvl["trans"][int(s[p])]
-                    schreier = compose(invert(rep), compose(s, u))
-                    if sift_in(schreier):
-                        changed = True
-            if changed:
-                break
-
-    order = 1
-    for lvl in levels:
-        order *= len(lvl["trans"])
-    return order
+        add(g, 0)
+    i = 0
+    while i >= 0:  # the levels past i are complete
+        h, j = residue(i)
+        for level in range(i + 1, j + 1):
+            add(h, level)
+        i = j
+    return math.prod(len(t) for t in trans)

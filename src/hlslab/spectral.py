@@ -200,9 +200,11 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
     (Paige 1980; Cullum and Willoughby 1985).
 
     Pass 1 runs the three-term recurrence without reorthogonalization and
-    keeps its coefficients and two vectors.  Every 8 steps, at a breakdown
-    and at the last step, _tridiagonal_top finds the top Ritz pair
-    (theta, s) of the tridiagonal T_k; lost orthogonality only repeats
+    keeps its coefficients and two vectors.  At a breakdown, at the last
+    step and every max(8, k // 16) steps, _tridiagonal_top finds the top
+    Ritz pair (theta, s) of the tridiagonal T_k.  A check costs O(k); as
+    the spacing grows with k past k = 128, the checks of a k-step solve
+    cost O(k) in all, not O(k^2).  Lost orthogonality only repeats
     converged Ritz values, so the top one still converges to the top
     eigenvalue.  Once |beta_k s_k| <= tol, pass 2 (_explicit_pair) replays
     the recurrence to form the Ritz vector y and returns (theta, residual,
@@ -220,7 +222,7 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
     nv = np.linalg.norm(v)
     if nv == 0:
         return 0.0, 0.0, True
-    check_every = 8
+    next_check = 8
     steps = max_basis + (max_restarts - 1) * (max_basis - max_basis // 4)
     alphas, betas, s = [], [], None
     top_alpha, next_replay = 1.0, 0
@@ -238,8 +240,9 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
             w /= beta
             q_prev, q = q, w
         last = breakdown or k >= steps
-        if not last and k % check_every:
+        if not last and k < next_check:
             continue
+        next_check = k + max(8, k // 16)
         _theta, s = _tridiagonal_top(alphas, betas[:-1], s)
         done = max(tol, floor)
         if not last and (abs(beta * s[-1]) > done or k < next_replay):

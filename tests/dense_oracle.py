@@ -13,5 +13,5 @@ def rho_dense(q, coeffs: dict, exact: bool = False):
     m = np.zeros((q.order, q.order), dtype=dtype)
     cols = np.arange(q.order)
     for s, c in coeffs.items():
-        m[q.left_mult_table(s), cols] += _scalar(c, dtype)
+        m[q.left_mult_table(s), cols] += c if exact else _scalar(c, dtype)
     return m

@@ -285,6 +285,14 @@ def test_gap_rejects_non_self_adjoint(cache):
     assert code == 2
 
 
+def test_gap_self_adjointness_is_scale_free(cache, tmp_path):
+    # self-adjoint however large its coefficients; 1e-13 a, as far from
+    # self-adjoint as a, is among MALFORMED_INPUTS
+    large = '[["a",1e30,0],["A",1e30,0],["b",-1e30,0],["B",-1e30,0]]'
+    assert run(["gap", "--family", "fd", "--n-max", "2", "--radius", "2",
+                "--element", large], cache, tmp_path / "gap.csv") == 0
+
+
 # -- amen ---------------------------------------------------------------------
 
 def cyclic_uniform(n):
@@ -322,6 +330,18 @@ def test_amen_kset_levels(cache, tmp_path):
     # the full cycle is exactly invariant in its own quotient
     assert float(by_level["3"]["translation_defect"]) == 0.0
     assert float(by_level["inf"]["translation_defect"]) == pytest.approx(0.25)
+
+
+def test_amen_kset_reads_a_digit_string_level(cache, tmp_path):
+    elem = cyclic_uniform(3)
+    rows = []
+    for level in (3, "3"):
+        out = tmp_path / "amen.csv"
+        assert run(["amen", "--family", "cyclic", "--element", elem,
+                    "--epsilon", "0.5", "--kset", json.dumps([[level, "a"]])],
+                   cache, out) == 0
+        rows.append(parse_report(out.read_text())[1])
+    assert rows[0] == rows[1] and rows[0][0]["element_level"] == "3"
 
 
 def test_amen_requires_element(cache):
@@ -386,14 +406,26 @@ def test_convolve_check(cache, tmp_path):
 
 def test_config_file_merge(cache, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "cyclic", "n_max": 4}))
+    # an int where a float is wanted, and null where the default is None
+    cfg.write_text(json.dumps({"family": "cyclic", "n_max": 4, "margin": 1,
+                               "element": None, "timings": False}))
     out = tmp_path / "q.csv"
     code = main(["quotients", "--config", str(cfg), "--n-max", "2",
                  "--cache-dir", cache, "--out", str(out)])
     assert code == 0
     config, rows, _ = parse_report(out.read_text())
     assert config["family"] == "cyclic"  # from the file
+    assert config["margin"] == "1" and config["timings"] == "False"
     assert len(rows) == 2                # flag overrides the file
+
+
+def test_config_file_not_in_utf8_is_an_input_error(cache, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["quotients", "--config", str(cfg), "--cache-dir",
+                 cache]) == 2
+    assert "cfg.json" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_nonzero(cache, capsys):
@@ -437,6 +469,74 @@ def test_malformed_coefficients_are_input_errors(cache, capsys, command,
     assert "input error" in capsys.readouterr().err
 
 
+KSETS = {"level-not-a-number": '[["x","a"]]', "not-a-list": '{"a":1}',
+         "triple": '[[3,"a",1]]', "fractional-level": '[[3.7,"a"]]',
+         "boolean-level": '[[true,"a"]]'}
+CONFIGS = {"string-for-int": '{"n_max": "5"}', "null-for-int":
+           '{"radius": null}', "string-for-switch": '{"timings": "no"}'}
+SNAPSHOTS = {"garbage": "not json", "list": "[1, 2]",
+             "string-value": '{"format_version": 1, "values": {"2": "x"}}',
+             "nan-value": '{"format_version": 1, "values": {"2": NaN}}'}
+SNAPSHOT = "cache/snapshots/tau-congruence.json"
+
+# (argv, file to write under the test directory, its text, a word the
+# error must name); {tmp} in argv stands for the test directory
+MALFORMED_INPUTS = (
+    [pytest.param(["amen", "--family", "cyclic", "--element",
+                   '[["a",1,0]]', "--kset", k], None, None, "K set",
+                  id=f"kset-{name}") for name, k in KSETS.items()]
+    + [pytest.param(["amen", "--family", "cyclic", "--element",
+                     '[["a",1,0]]', "--kset", '[["inf",5]]'], None, None,
+                    "word", id="kset-word-not-a-string")]
+    + [pytest.param(["quotients", "--config", "{tmp}/cfg.json"], "cfg.json",
+                    c, next(iter(json.loads(c))), id=f"config-{name}")
+       for name, c in CONFIGS.items()]
+    + [pytest.param(["tau", "--n-max", "2"], SNAPSHOT, text,
+                    "tau-congruence.json", id=f"snapshot-{name}")
+       for name, text in SNAPSHOTS.items()]
+    + [pytest.param(["gap", "--family", "fd", "--n-max", "2", "--radius",
+                     "2", "--element", '[["a",1e-13,0]]'], None, None,
+                    "self-adjoint", id="gap-tiny-non-self-adjoint"),
+       pytest.param(["gap", "--family", "fd", "--n-max", "2", "--element",
+                     '[[5,1,0]]'], None, None, "word",
+                    id="element-word-not-a-string")])
+
+
+def stage(tmp_path, args, path, text):
+    """The argv of a malformed input, its file written under tmp_path."""
+    if path is not None:
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+    return ([a.replace("{tmp}", str(tmp_path)) for a in args]
+            + ["--cache-dir", str(tmp_path / "cache")])
+
+
+@pytest.mark.parametrize("args,path,text,named", MALFORMED_INPUTS)
+def test_malformed_inputs_are_input_errors(tmp_path, capsys, args, path,
+                                           text, named):
+    assert main(stage(tmp_path, args, path, text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and named in err, err
+
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(hlslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("args,path,text,named", MALFORMED_INPUTS)
+def test_malformed_inputs_exit_2_without_a_traceback(tmp_path, args, path,
+                                                     text, named):
+    done = subprocess.run(
+        [sys.executable, "-m", "hlslab.cli", *stage(tmp_path, args, path,
+                                                     text)],
+        env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_reports_byte_identical_across_runs(cache, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["gap", "--family", "fd", "--n-max", "3", "--radius", "4"]
@@ -465,11 +565,8 @@ assert "numpy.random" not in sys.modules
 def test_solves_never_load_numpy_random(cache, tmp_path):
     # the Lanczos starts come from the standard-library generator, so a
     # run never pays for importing numpy.random
-    src = str(Path(hlslab.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_RANDOM, cache,
          str(tmp_path / "r.csv")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-        text=True)
+        env=src_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

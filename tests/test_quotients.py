@@ -1,17 +1,20 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlslab import quotients
 from hlslab.cli import SEPARATION_BALL_WORDS
 from hlslab.errors import InputError, ResourceError
-from hlslab.perms import bfs_order, bfs_tree
+from hlslab.perms import bfs_order, bfs_tree, schreier_sims_order
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
                               enumerate_kernel_reps, kernel_refines)
 from hlslab.words import Word, ball, ball_size
@@ -134,6 +137,51 @@ def test_schreier_sims_matches_bfs(fd, congruence, cyclic):
     for base, top in ((fd, 4), (congruence, 4), (cyclic, 8)):
         for n in range(1, top + 1):
             assert base.quotient(n).verify_schreier_sims()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_schreier_sims_order_is_the_bfs_count(data):
+    d = data.draw(st.integers(1, 8), label="degree")
+    k = data.draw(st.integers(1, 3), label="generators")
+    gens = [np.array(data.draw(st.permutations(range(d))), dtype=np.int32)
+            for _ in range(k)]
+    assert schreier_sims_order(gens) == len(bfs_order(gens))
+
+
+def cycle(degree, *cycles):
+    """The permutation of range(degree) with the given cycles (1-based
+    points, as they are usually written)."""
+    p = np.arange(degree, dtype=np.int32)
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a - 1] = b - 1
+    return p
+
+
+def known_groups():
+    """Generators of groups whose orders are classical, and the order."""
+    yield pytest.param([cycle(11, tuple(range(1, 12))),
+                        cycle(11, (3, 7, 11, 8), (4, 10, 5, 6))], 7920,
+                       id="M11")
+    for n in range(2, 8):
+        yield pytest.param([cycle(n, tuple(range(1, n + 1))),
+                            cycle(n, (1, 2))], math.factorial(n), id=f"S{n}")
+    for n in range(3, 8):  # A_n is generated by the 3-cycles (1 2 i)
+        yield pytest.param([cycle(n, (1, 2, i)) for i in range(3, n + 1)],
+                           math.factorial(n) // 2, id=f"A{n}")
+    for n in range(3, 9):  # the rotations and reflections of an n-gon
+        yield pytest.param([cycle(n, tuple(range(1, n + 1))),
+                            cycle(n, *[(i, n + 2 - i)
+                                       for i in range(2, (n + 3) // 2)])],
+                           2 * n, id=f"D{n}")
+    yield pytest.param([np.arange(5, dtype=np.int32)] * 2, 1, id="identity")
+    yield pytest.param([], 1, id="empty")
+
+
+@pytest.mark.parametrize("gens,order", known_groups())
+def test_schreier_sims_known_orders(gens, order):
+    assert schreier_sims_order(gens) == order
 
 
 def test_unknown_family():

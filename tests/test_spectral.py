@@ -126,25 +126,52 @@ def test_residual_is_the_explicit_one_of_the_ritz_vector(dtype):
     assert abs(theta - top) < 1e-9 and theta <= top + 1e-12
 
 
+def _path(x):
+    """The adjacency operator of the path on len(x) vertices."""
+    y = np.zeros_like(x)
+    y[1:] += x[:-1]
+    y[:-1] += x[1:]
+    return y
+
+
+def _squared_path_start(dim):
+    return np.random.default_rng(spectral.LANCZOS_SEED).standard_normal(dim)
+
+
 def test_lanczos_converges_on_the_squared_path():
     # A^2 for the path on 1,601 vertices: top eigenvalue 4 cos^2(pi/1602)
     # with a relative gap near 1e-5; a single-vector restart needed 4,472
     # matvecs from this start, and pass 1 takes at most a quarter of that
     dim = 1601
-
-    def path(x):
-        y = np.zeros_like(x)
-        y[1:] += x[:-1]
-        y[:-1] += x[1:]
-        return y
-
-    apply, digests, _ = _logged(lambda x: path(path(x)))
-    start = np.random.default_rng(spectral.LANCZOS_SEED).standard_normal(dim)
-    theta, residual, converged = lanczos_extreme(apply, dim, start, tol=4e-10)
+    apply, digests, _ = _logged(lambda x: _path(_path(x)))
+    theta, residual, converged = lanczos_extreme(
+        apply, dim, _squared_path_start(dim), tol=4e-10)
     assert converged
     assert residual <= 4e-10
     assert abs(theta - 4 * np.cos(np.pi / (dim + 1)) ** 2) < 1e-12
     assert _pass_one_steps(digests) <= 4472 // 4
+
+
+def test_ritz_checks_thin_out_on_long_solves(monkeypatch):
+    # the squared path on 3,201 vertices takes over 1,000 pass-1 steps;
+    # checking every 8 steps would solve T_k about k / 8 times
+    sizes = []
+    top = spectral._tridiagonal_top
+
+    def counted(alpha, beta, x=None):
+        sizes.append(len(alpha))
+        return top(alpha, beta, x)
+
+    monkeypatch.setattr(spectral, "_tridiagonal_top", counted)
+    dim = 3201
+    theta, _, converged = lanczos_extreme(
+        lambda x: _path(_path(x)), dim, _squared_path_start(dim), tol=4e-10)
+    assert converged
+    assert abs(theta - 4 * np.cos(np.pi / (dim + 1)) ** 2) < 1e-12
+    k = sizes[-1]  # the last check is at the last pass-1 step
+    assert k >= 1000
+    assert sizes[:16] == list(range(8, 129, 8))  # every 8 up to k = 128
+    assert len(sizes) < k / 16
 
 
 def test_bracket_max_keeps_an_unconverged_flag():
