@@ -24,7 +24,7 @@ from . import groupoid as gpd
 from .config import ExperimentConfig, build_config
 from .errors import InputError, ResourceError
 from .quotients import FAMILIES, ApproximatedGroup, kernel_refines
-from .words import GroupAlgebraElement, Word, ball, ball_size
+from .words import GroupAlgebraElement, Word, ball, ball_size, l1_of
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -135,7 +135,7 @@ def cmd_quotients(config: ExperimentConfig) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _bracket_row(level, order, bracket, wall_ms, config):
+def _gap_row(level, order, bracket, wall_ms, config):
     row = {"level": level, "order": order,
            "lower": _endpoint(bracket.lower, ROUND_FLOOR),
            "upper": _endpoint(bracket.upper, ROUND_CEILING),
@@ -162,9 +162,9 @@ def cmd_gap(config: ExperimentConfig) -> int:
                                config.radius, config.ball_cap)
     ceiling, flagged = profile.gap(config.margin, config.infinity_ceiling)
     wall = int((time.monotonic() - t0) * 1000)
-    rows = [_bracket_row(r.level, r.order, r.bracket, wall, config)
+    rows = [_gap_row(r.level, r.order, r.bracket, wall, config)
             for r in profile.rows]
-    rows.append(_bracket_row("inf", "inf", profile.infinity, wall, config))
+    rows.append(_gap_row("inf", "inf", profile.infinity, wall, config))
     fields = ["level", "order", "lower", "upper", "provenance", "converged"]
     if config.timings:
         fields.append("wall_ms")
@@ -177,9 +177,9 @@ def cmd_gap(config: ExperimentConfig) -> int:
         "infinity_ceiling_used": _endpoint(ceiling, ROUND_CEILING),
         "infinity_converged": profile.infinity.converged,
         # |sum of coefficients|: the norm in the trivial representation,
-        # a lower bound for the maximal norm
+        # a lower bound for the maximal norm, rounded down like level 1's
         "trivial_representation_lower": _endpoint(
-            abs(complex(x.sum_of_coefficients())), ROUND_FLOOR),
+            l1_of({0: x.sum_of_coefficients()})[0], ROUND_FLOOR),
         "l1_upper": _endpoint(x.l1_norm(), ROUND_CEILING),
         "monotone_ok": profile.monotone_ok,
         "gap_margin": config.margin,

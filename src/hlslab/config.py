@@ -7,6 +7,7 @@ numbers are reproducible from the report alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -54,6 +55,11 @@ class ExperimentConfig:
                 raise InputError(f"{cap_name} must be positive")
         if self.radius < 0:
             raise InputError("radius must be nonnegative")
+        # every comparison with nan is false: refuse it, and inf, here
+        for name in ("margin", "epsilon", "infinity_ceiling"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise InputError(f"{name} must be finite, not {v}")
 
     @property
     def rank(self) -> int:

@@ -261,15 +261,20 @@ def _radial_lower(c: float, rank: int, radius: int, ball_cap: int) -> float:
     return max(rayleigh - ulps * max(rayleigh, 1.0), 0.0)
 
 
-def _truncation_lower(x: GroupAlgebraElement, radius: int,
-                      ball_cap: int) -> tuple[float, bool]:
-    """(lower, converged): a lower bound for the norm of the compression
-    of x to the ball of the given radius, by the radial reduction for a
-    positive multiple of the generator sum in rank >= 2, by Lanczos on the
-    ball otherwise.  The cap bounds the points the chosen path stores.
-    The ball path reads the l1 norm first, so a norm too large to solve is
-    refused before the solve.  An unconverged solve yields its Rayleigh
-    lower bound, still certified, with converged False."""
+def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
+                           ball_cap: int = DEFAULT_BALL_CAP
+                           ) -> tuple[float, bool]:
+    """(lower, converged): the norm of the compression of the regular
+    representation of x to the ball of the given radius, a certified lower
+    bound for the reduced free-group norm.  An empty x gives (0.0, True);
+    a positive multiple of the generator sum in rank >= 2 takes the radial
+    reduction; anything else takes Lanczos on the ball.  The cap bounds
+    the points the chosen path stores.  The ball path reads the l1 norm
+    first, so a norm too large to solve is refused before the solve.  An
+    unconverged solve yields its Rayleigh lower bound, still certified,
+    with converged False."""
+    if not x.coeffs:
+        return 0.0, True
     c = _radial_scale(x)
     if c is not None:
         return _radial_lower(c, x.rank, radius, ball_cap), True
@@ -287,25 +292,14 @@ def _truncation_lower(x: GroupAlgebraElement, radius: int,
     return bracket.lower, bracket.converged
 
 
-def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
-                           ball_cap: int = DEFAULT_BALL_CAP) -> float:
-    """Norm of the compression of the regular representation of x to the
-    ball of the given radius: a certified lower bound for the reduced
-    free-group norm, also when the solve did not converge."""
-    if not x.coeffs:
-        return 0.0
-    return _truncation_lower(x, radius, ball_cap)[0]
-
-
 def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
                           ball_cap: int = DEFAULT_BALL_CAP) -> NormBracket:
-    """Bracket for the reduced norm of x on the infinity fiber: truncation
-    compression below, min(l1, Haagerup) above.  converged is False when
-    the truncation solve did not certify its requested width."""
-    if not x.coeffs:
-        return NormBracket(0.0, 0.0, "truncation", "l1")
+    """Bracket for the reduced norm of x on the infinity fiber: the
+    truncation (truncation_lower_bound) below, min(l1, Haagerup) above;
+    an empty x reads [0, 0].  converged is False when the truncation solve
+    did not certify its requested width."""
     l1 = x.l1_norm()  # refuses a norm too large to solve, before the solve
-    lower, converged = _truncation_lower(x, radius, ball_cap)
+    lower, converged = truncation_lower_bound(x, radius, ball_cap)
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:
         haag = x.haagerup_bound()
@@ -398,13 +392,12 @@ def tau_spectral_gap(base: ApproximatedGroup, n: int) -> tuple[float, bool]:
     """(value, converged): the second eigenvalue of the Markov operator on
     l2 of the level-n quotient, i.e. the top eigenvalue of the
     quasi-regular image restricted to the orthogonal complement of the
-    constant vector, and the flag of the Lanczos solve behind it."""
+    constant vector, and the flag of the Lanczos solve behind it: (0.0,
+    True) on a one-element quotient, where the projected start is 0."""
     if base.rank < 2:
         raise InputError("the tau contrast needs a rank-2 family")
     q = base.quotient(n)
     coeffs = q.pushforward(markov_element(base.rank))
-    if q.order == 1:
-        return 0.0, True
     apply_m = fiber_matvec(q, coeffs)
 
     def project(v):

@@ -4,9 +4,10 @@ The engine never reports bare point values: every norm comes back as a
 NormBracket [lower, upper] with provenance on both endpoints.  A bracket
 of a signed or complex element comes from one Lanczos solve, and its
 converged flag is that solve's; nonnegative fiber elements and the
-radial truncation need none (groupoid).  A solve keeps the recurrence's
-coefficients and a few vectors, whatever its step count, and calls no
-LAPACK: the tridiagonal eigenproblem is solved in pure Python.  Every
+radial truncation need none (groupoid).  Every operator, 1x1 included,
+takes the one solve path of singular_value_bracket.  A solve keeps the
+recurrence's coefficients and a few vectors, whatever its step count, and
+calls no LAPACK: the tridiagonal eigenproblem is solved in pure Python.  Every
 start is drawn by seeded_vector from the standard-library generator, so
 no run loads numpy.random.  Lower bounds are Rayleigh quotients of
 explicit Ritz vectors (always valid for the top eigenvalue of a
@@ -253,44 +254,25 @@ def lanczos_extreme(apply_op, dim: int, start: np.ndarray,
         next_replay = 2 * k
 
 
-def _bracket(sigma: float, sigma_hi: float, upper_bound: float,
-             converged: bool = True) -> NormBracket:
-    """[sigma, min(sigma_hi, upper_bound)]; the upper endpoint is tagged
-    "l1" only when the caller's bound is the smaller one.  A sigma rounded
-    above that endpoint is clipped to it, so the caller's bound stays a
-    bound."""
-    upper, upper_provenance = upper_bound, "l1"
-    if sigma_hi < upper_bound:
-        upper, upper_provenance = sigma_hi, RESIDUAL_PROVENANCE
-    return NormBracket(min(sigma, upper), upper, "fiber-representation",
-                       upper_provenance, converged)
-
-
 def singular_value_bracket(apply_m, apply_m_star, dim: int,
                            upper_bound: float, dtype=np.float64,
                            tol_rel: float = DEFAULT_TOL_REL) -> NormBracket:
     """Bracket for the largest singular value of M via Lanczos on M*M.
 
-    One solve, holding a few dim-length vectors, from 1 + u
-    with u = seeded_vector(dim), or from 1 + u + i u' for complex dtypes,
-    u and u' the two halves of one draw: the uniform part meets every
-    eigenvector, and the constant part points at the Perron vector of a
-    nonnegative M*M.  The lower endpoint is sqrt(theta) less a rounding
-    allowance, tagged "fiber-representation"; the upper one is the smaller
-    of sqrt(theta + residual) plus the same allowance, tagged
+    One solve, holding a few dim-length vectors, from 1 + u with u =
+    seeded_vector(dim), or from 1 + u + i u' for complex dtypes, u and u'
+    the two halves of one draw: the uniform part meets every eigenvector,
+    and the constant part points at the Perron vector of a nonnegative
+    M*M.  The lower endpoint is sqrt(theta) less a rounding allowance,
+    tagged "fiber-representation"; the upper one is the smaller of
+    sqrt(theta + residual) plus the same allowance, tagged
     "lanczos-residual", and the caller's upper_bound, tagged "l1".
     converged is the solve's flag; the endpoints are valid either way.
+    Every dim takes this path: a 1x1 operator's solve breaks down at its
+    first step, and its endpoints get the same allowance.
     """
-    if dim == 0:
-        return NormBracket(0.0, 0.0, "fiber-representation", "l1")
-
     def apply_a(x):
         return apply_m_star(apply_m(x))
-
-    if dim == 1:
-        v = np.ones(1, dtype=dtype)
-        sigma = float(np.sqrt(max(np.real(apply_a(v)[0]), 0.0)))
-        return _bracket(sigma, sigma, upper_bound)
 
     if np.issubdtype(dtype, np.complexfloating):
         u = seeded_vector(2 * dim)
@@ -305,4 +287,9 @@ def singular_value_bracket(apply_m, apply_m_star, dim: int,
     slack = ROUNDING_ULPS * np.finfo(float).eps * max(abs(theta), 1.0)
     sigma = float(np.sqrt(max(theta - slack, 0.0)))
     sigma_hi = float(np.sqrt(max(theta + res + slack, 0.0)))
-    return _bracket(sigma, sigma_hi, upper_bound, converged)
+    upper, upper_provenance = upper_bound, "l1"
+    if sigma_hi < upper_bound:
+        upper, upper_provenance = sigma_hi, RESIDUAL_PROVENANCE
+    # a sigma rounded above upper is clipped, so the caller's bound holds
+    return NormBracket(min(sigma, upper), upper, "fiber-representation",
+                       upper_provenance, converged)

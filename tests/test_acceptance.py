@@ -188,7 +188,7 @@ def test_criterion_4_monotonicity(fd, congruence):
 def test_criterion_5_gap_experiment(fd):
     t0 = time.monotonic()
     x = gen_sum()
-    truncs = [truncation_lower_bound(x, r) for r in (2, 6, 12)]
+    truncs = [truncation_lower_bound(x, r)[0] for r in (2, 6, 12)]
     monotone = all(b + 1e-9 >= a for a, b in zip(truncs, truncs[1:]))
     sqrt7_ok = abs(truncs[0] - math.sqrt(7)) < 1e-9
     ceiling_ok = all(t <= KESTEN_4_REGULAR + 1e-6 for t in truncs)

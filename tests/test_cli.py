@@ -257,6 +257,18 @@ def test_gap_prints_brackets_rounded_outward(cache_dir, fd, tmp_path, x):
         assert float(rows[3]["lower"]) < 2 + 3 * math.sqrt(3)
 
 
+def test_gap_trivial_representation_lower_rounds_down(cache, tmp_path):
+    # |sum c| = 1 - 2^-60 has no float; to nearest it is 1, above the norm
+    c = "1152921504606846975/2305843009213693952"
+    out = tmp_path / "gap.csv"
+    assert run(["gap", "--family", "fd", "--n-max", "2", "--radius", "2",
+                "--element", json.dumps([["a", c, "0"], ["A", c, "0"]])],
+               cache, out) == 0
+    _, rows, results = parse_report(out.read_text())
+    assert rows[0]["lower"] == "0.999999999999"
+    assert results["trivial_representation_lower"] == "0.999999999999"
+
+
 def test_gap_radial_truncation_past_the_ball_cap(cache, tmp_path):
     # the radius-14 ball has 9,565,937 words, over the default cap of
     # 5,000,000; the generator sum's radial solve stores 15 points
@@ -473,7 +485,19 @@ KSETS = {"level-not-a-number": '[["x","a"]]', "not-a-list": '{"a":1}',
          "triple": '[[3,"a",1]]', "fractional-level": '[[3.7,"a"]]',
          "boolean-level": '[[true,"a"]]'}
 CONFIGS = {"string-for-int": '{"n_max": "5"}', "null-for-int":
-           '{"radius": null}', "string-for-switch": '{"timings": "no"}'}
+           '{"radius": null}', "string-for-switch": '{"timings": "no"}',
+           "nan-margin": '{"margin": NaN}',
+           "infinite-ceiling": '{"infinity_ceiling": Infinity}'}
+# a nan or infinite float flag, and the config field it sets
+NON_FINITE_FLAGS = {
+    "margin-nan": (["gap", "--margin", "nan"], "margin"),
+    "ceiling-inf": (["gap", "--infinity-ceiling", "inf"],
+                    "infinity_ceiling"),
+    "epsilon-nan": (["amen", "--element", '[["a",1,0]]', "--epsilon",
+                     "nan"], "epsilon"),
+    # at epsilon inf a certificate with translation defect 1 would pass
+    "epsilon-inf": (["amen", "--element", '[["a",1,0]]', "--epsilon",
+                     "inf"], "epsilon")}
 SNAPSHOTS = {"garbage": "not json", "list": "[1, 2]",
              "string-value": '{"format_version": 1, "values": {"2": "x"}}',
              "nan-value": '{"format_version": 1, "values": {"2": NaN}}'}
@@ -499,7 +523,10 @@ MALFORMED_INPUTS = (
                     "self-adjoint", id="gap-tiny-non-self-adjoint"),
        pytest.param(["gap", "--family", "fd", "--n-max", "2", "--element",
                      '[[5,1,0]]'], None, None, "word",
-                    id="element-word-not-a-string")])
+                    id="element-word-not-a-string")]
+    + [pytest.param(args + ["--family", "cyclic", "--n-max", "2"], None,
+                    None, named, id=f"flag-{name}")
+       for name, (args, named) in NON_FINITE_FLAGS.items()])
 
 
 def stage(tmp_path, args, path, text):

@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlslab import spectral
@@ -23,7 +23,7 @@ from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              markov_element, norm_profile,
                              rho_norm, standard_lift,
                              tau_spectral_gap, truncation_lower_bound,
-                             _radial_lower, _truncation_lower)
+                             _radial_lower)
 from hlslab.words import GroupAlgebraElement, Word, ball
 
 from dense_oracle import rho_dense
@@ -146,7 +146,7 @@ def test_generator_sum_fiber_norm_is_4(fd):
 
 
 def test_radius_2_truncation_is_sqrt7():
-    assert abs(truncation_lower_bound(gen_sum(), 2) - math.sqrt(7)) < 1e-9
+    assert abs(truncation_lower_bound(gen_sum(), 2)[0] - math.sqrt(7)) < 1e-9
 
 
 def test_infinity_upper_is_haagerup(fd):
@@ -427,7 +427,7 @@ def test_star_algebra_axioms_fiberwise(fd, x, y, z):
 
 def test_truncation_monotone_in_radius():
     x = gen_sum()
-    vals = [truncation_lower_bound(x, r)
+    vals = [truncation_lower_bound(x, r)[0]
             for r in (1, 2, 4, 6, 10, 10**2, 10**3, 10**5)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a
@@ -464,18 +464,38 @@ def test_complex_truncation_matches_dense_compression(rank, radius):
                  for _ in range(4)]
         x = GroupAlgebraElement.from_pairs(pairs, rank)
         expected = _dense_truncation_norm(x, radius)
-        got = truncation_lower_bound(x, radius)
+        got = truncation_lower_bound(x, radius)[0]
         assert abs(got - expected) < 1e-9 * expected
         assert got <= expected + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       im=st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       rest=exact_elements(2))
+# sqrt(2.0) rounds to 1.4142135623730951, above the norm sqrt(2)
+@example(re=Fraction(1), im=Fraction(1),
+         rest=GroupAlgebraElement.from_pairs([("a", 1)], 2))
+def test_radius_0_truncation_stays_below_the_identity_coefficient(re, im,
+                                                                  rest):
+    # the compression to ball(0) is the scalar x(e): |x(e)| is the norm,
+    # and the 1x1 solve's lower endpoint must not round above it
+    x = rest + GroupAlgebraElement.from_pairs(
+        [(Word.identity(2), RationalComplex(re, im))], 2)
+    c = RationalComplex.of(x.coeffs.get(Word.identity(2), 0))
+    br = infinity_norm_bracket(x, 0)
+    assert Fraction(br.lower) ** 2 <= c.re ** 2 + c.im ** 2
+    assert br.lower >= math.sqrt(c.re ** 2 + c.im ** 2) - 1e-11
+    assert br.lower_provenance == "truncation" and br.converged
 
 
 def test_unconverged_truncation_is_reported(one_short_restart):
     x = GroupAlgebraElement.from_pairs([("a", 1), ("A", 1)], rank=1)
     br = infinity_norm_bracket(x, 30)
     assert not br.converged
-    # the plain lower bound is still returned, and is still a lower bound
-    lower = truncation_lower_bound(x, 30)
-    assert isinstance(lower, float)
+    # the truncation returns the same flag and a lower bound all the same
+    lower, converged = truncation_lower_bound(x, 30)
+    assert isinstance(lower, float) and not converged
     assert lower == br.lower
     assert lower <= 2 * math.cos(math.pi / 62)
 
@@ -578,13 +598,13 @@ def test_radial_truncation_matches_dense_compression(rank, radius, scale):
     # the compression is real symmetric: its norm is its largest |eigenvalue|
     m = _dense_compression(x, radius).real
     dense = np.abs(np.linalg.eigvalsh(m)).max()
-    lower, converged = _truncation_lower(x, radius, 5_000_000)
+    lower, converged = truncation_lower_bound(x, radius, 5_000_000)
     assert abs(lower - dense) <= 1e-12
     assert converged
 
 
 def test_radial_truncation_radius_12():
-    assert truncation_lower_bound(gen_sum(), 12) == pytest.approx(
+    assert truncation_lower_bound(gen_sum(), 12)[0] == pytest.approx(
         3.387575719275113, abs=1e-12)
 
 
@@ -633,9 +653,9 @@ def test_infinity_fiber_needs_a_radius(fd):
 
 def test_radial_truncation_checks_its_cap():
     # r + 1 points are stored, not the ball's words
-    assert _truncation_lower(gen_sum(), 14, 15)[0] > 3.4
+    assert truncation_lower_bound(gen_sum(), 14, 15)[0] > 3.4
     with pytest.raises(ResourceError):
-        _truncation_lower(gen_sum(), 14, 14)
+        truncation_lower_bound(gen_sum(), 14, 14)
 
 
 @pytest.fixture()
@@ -665,7 +685,7 @@ def test_generator_sum_builds_no_ball(balls_built):
 ], ids=["rank-1", "negated", "one-doubled", "plus-identity"])
 def test_other_elements_keep_the_ball_solve(balls_built, x):
     radius = 6 if x.rank == 1 else 3
-    got = truncation_lower_bound(x, radius)
+    got = truncation_lower_bound(x, radius)[0]
     assert len(balls_built) == 1
     expected = _dense_truncation_norm(x, radius)
     assert abs(got - expected) < 1e-9 * expected
@@ -798,6 +818,7 @@ def test_tau_fd_small_levels(fd):
 
 
 def test_tau_congruence_levels(congruence):
+    assert tau_spectral_gap(congruence, 1) == (0.0, True)
     value, converged = tau_spectral_gap(congruence, 2)
     assert converged and value == pytest.approx(0.0, abs=1e-9)
     value, converged = tau_spectral_gap(congruence, 3)

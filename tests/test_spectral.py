@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ def test_bracket_starts_from_one_seeded_draw(monkeypatch, dtype):
         assert np.array_equal(start, 1.0 + u[:dim] + 1j * u[dim:])
     else:
         assert np.array_equal(start, 1.0 + spectral.seeded_vector(dim))
+
+
+@pytest.mark.parametrize("c,dtype", [(3.0, np.float64),
+                                     (1 + 1j, np.complex128)])
+def test_a_1x1_operator_takes_the_solve(monkeypatch, c, dtype):
+    solves = []
+    solve = spectral.lanczos_extreme
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", recording)
+    b = spectral.singular_value_bracket(lambda x: c * x,
+                                        lambda x: np.conj(c) * x, 1, 10.0,
+                                        dtype=dtype)
+    assert len(solves) == 1 and b.converged
+    # the rounding allowance puts |c| strictly inside the bracket
+    sq = Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
+    assert Fraction(b.lower) ** 2 < sq < Fraction(b.upper) ** 2
+    assert b.upper_provenance == spectral.RESIDUAL_PROVENANCE
+    assert b.upper - b.lower < 1e-12
 
 
 def _peak_bytes(fn, *args):
