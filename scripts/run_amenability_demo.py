@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
     N = 2 ** args.n
-    a = Word((1,), 1)
+    a = Word.parse("a", 1)
     xi = GroupAlgebraElement.from_pairs(
         [(a ** j, Fraction(1, N)) for j in range(N)], 1)
     epsilon = args.epsilon if args.epsilon is not None else 3.0 / N

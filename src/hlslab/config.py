@@ -60,6 +60,13 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise InputError(f"{name} must be finite, not {v}")
+        # a gap flagged at margin <= 0, or under a negative ceiling on a
+        # norm, certifies nothing
+        if self.margin <= 0:
+            raise InputError(f"margin must be positive, not {self.margin}")
+        if self.infinity_ceiling is not None and self.infinity_ceiling < 0:
+            raise InputError(f"infinity_ceiling must be nonnegative, not "
+                             f"{self.infinity_ceiling}")
 
     @property
     def rank(self) -> int:

@@ -38,7 +38,8 @@ def bfs_order(gens: list[np.ndarray], cap: int | None = None):
     Returns the right Cayley table, order x 2k int32, or None if the group
     has more than cap elements: table[i, c] is the index of element_i *
     (letter c), where letter c is the c-th of g1, g1^-1, g2, g2^-1, ...,
-    so column c ^ 1 holds the inverse letter.  Its BFS tree is
+    so column c ^ 1 holds the inverse letter; a Word spells that letter
+    with the same code c.  Its BFS tree is
     bfs_tree(table).  Generators need not include inverses (the group is
     finite).
     """

@@ -48,7 +48,7 @@ from .balls import BallIndex
 from .errors import InputError, ResourceError
 from .perms import (bfs_order, bfs_tree, layer_closure, point_table,
                     propagate, schreier_sims_order)
-from .words import GroupAlgebraElement, Word, letter_rank
+from .words import GroupAlgebraElement, Word
 
 CACHE_FORMAT_VERSION = 3
 DEFAULT_FIBER_CAP = 2_000_000
@@ -89,7 +89,7 @@ class FiniteQuotient:
             raise InputError("word rank does not match quotient rank")
         i = 0
         for letter in w.letters:
-            i = self.table.item(i, letter_rank(letter))
+            i = self.table.item(i, letter)
         return i
 
     def multiply(self, i: int, j: int) -> int:

@@ -1,9 +1,11 @@
 """Reduced words in the free group F_k and exact group-algebra arithmetic.
 
-Letters are nonzero signed generator indices: +i is the i-th generator,
--i its inverse (1-based, i <= rank).  The normative letter order used for
-shortlex enumeration and serialization is a < A < b < B < ... where a
-capital letter denotes an inverse.
+A letter is a column of a right Cayley table: code c in range(2 * rank),
+where 2i is the (i+1)-th generator and 2i + 1 its inverse, so c ^ 1
+inverts c.  Written out, code c is the c-th character of "aAbB...zZ" (a
+capital letter denotes an inverse), and the numeric order of the codes is
+the normative order a < A < b < B < ... used for shortlex enumeration and
+serialization.
 """
 
 from __future__ import annotations
@@ -12,40 +14,27 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError, ResourceError
 from .exact import RationalComplex, conj, imag_part, is_exact, real_part
 
 DEFAULT_BALL_CAP = 5_000_000
 
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-# character -> letter for each rank: a -> 1, A -> -1, b -> 2, ...
-_LETTER_CODES = [
-    {c: sign * (i + 1) for i, low in enumerate(_ALPHABET[:rank])
-     for c, sign in ((low, 1), (low.upper(), -1))}
-    for rank in range(len(_ALPHABET) + 1)]
-
-
-def letter_rank(letter: int) -> int:
-    """Position of a letter in the normative order a, A, b, B, ..."""
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-
-def letters_in_order(rank: int) -> list[int]:
-    return [l for g in range(1, rank + 1) for l in (g, -g)]
+# code c is the c-th character: a -> 0, A -> 1, b -> 2, ...
+_LETTERS = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
 
 
 def check_letters(letters: Iterable[int], rank: int) -> None:
     for l in letters:
-        if not isinstance(l, int) or l == 0 or abs(l) > rank:
-            raise InputError(f"invalid generator index {l!r} for rank {rank}")
+        if not isinstance(l, int) or not 0 <= l < 2 * rank:
+            raise InputError(f"invalid letter code {l!r} for rank {rank}")
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for l in letters:
-        if out and out[-1] == -l:
+        if out and out[-1] == l ^ 1:
             out.pop()
         else:
             out.append(l)
@@ -62,7 +51,7 @@ class Word:
     def __post_init__(self):
         check_letters(self.letters, self.rank)
         for x, y in zip(self.letters, self.letters[1:]):
-            if x == -y:
+            if x == y ^ 1:
                 raise InputError(f"word {self.letters} is not freely reduced")
 
     @classmethod
@@ -92,12 +81,12 @@ class Word:
         # both factors are reduced, so letters cancel only at the junction
         a, b = self.letters, other.letters
         cut, most = 0, min(len(a), len(b))
-        while cut < most and a[-1 - cut] == -b[cut]:
+        while cut < most and a[-1 - cut] == b[cut] ^ 1:
             cut += 1
         return Word._unchecked(a[:len(a) - cut] + b[cut:], self.rank)
 
     def inverse(self) -> "Word":
-        return Word._unchecked(tuple(-l for l in reversed(self.letters)),
+        return Word._unchecked(tuple(l ^ 1 for l in reversed(self.letters)),
                                self.rank)
 
     def __pow__(self, n: int) -> "Word":
@@ -111,16 +100,10 @@ class Word:
         return not self.letters
 
     def shortlex_key(self) -> tuple:
-        return (len(self.letters), tuple(letter_rank(l) for l in self.letters))
+        return (len(self.letters), self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        out = []
-        for l in self.letters:
-            c = _ALPHABET[abs(l) - 1]
-            out.append(c if l > 0 else c.upper())
-        return "".join(out)
+        return "".join(_LETTERS[l] for l in self.letters) or "e"
 
     @staticmethod
     def parse(s: str, rank: int = 2) -> "Word":
@@ -129,7 +112,7 @@ class Word:
         s = s.strip()
         if s in ("", "e"):
             return Word.identity(rank)
-        codes = _LETTER_CODES[max(0, min(rank, len(_ALPHABET)))]
+        codes = {c: l for l, c in enumerate(_LETTERS[:2 * max(rank, 0)])}
         try:
             letters = [codes[c] for c in s]
         except KeyError:
@@ -157,14 +140,13 @@ def ball(radius: int, rank: int = 2, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
         raise ResourceError(
             f"ball({radius}, {rank}) has {size} words, exceeding the "
             f"configured element cap {cap}")
-    order = sorted(letters_in_order(rank), key=letter_rank)
     words = [Word.identity(rank)]
     frontier = [()]
     for _ in range(radius):
         nxt = []
         for w in frontier:
-            for l in order:
-                if w and w[-1] == -l:
+            for l in range(2 * rank):
+                if w and w[-1] == l ^ 1:
                     continue
                 nxt.append(w + (l,))
         words.extend(Word(w, rank) for w in nxt)
@@ -296,7 +278,7 @@ class GroupAlgebraElement:
     def generator_sum(rank: int = 2) -> "GroupAlgebraElement":
         """Sum of all generators and their inverses (the Cayley adjacency)."""
         return GroupAlgebraElement(
-            rank, {Word((l,), rank): 1 for l in letters_in_order(rank)})
+            rank, {Word((l,), rank): 1 for l in range(2 * rank)})
 
     def support(self) -> list[Word]:
         return sorted(self.coeffs, key=Word.shortlex_key)
@@ -352,29 +334,20 @@ class GroupAlgebraElement:
         """sum |c|, rounded up: an upper bound for every fiber norm."""
         return l1_of(self.coeffs)[1]
 
-    def l2_norm_squared(self):
-        return sum(_abs_squared(c) for c in self.coeffs.values())
-
-    def l2_norm(self) -> float:
-        return math.hypot(*(abs(complex(c)) for c in self.coeffs.values()))
-
-    def sphere_decomposition(self) -> list[tuple[int, "GroupAlgebraElement", float]]:
-        """Split by word length: x = sum_k x_k, with the l2 norm of each x_k."""
-        by_len: dict[int, dict] = {}
-        for w, c in self.coeffs.items():
-            by_len.setdefault(len(w), {})[w] = c
-        out = []
-        for k in sorted(by_len):
-            comp = GroupAlgebraElement(self.rank, by_len[k])
-            out.append((k, comp, comp.l2_norm()))
-        return out
-
     def haagerup_bound(self) -> float:
-        """sum_k (k+1)*||x_k||_2, rounded up; an upper bound for the
-        reduced norm when rank >= 2.  Each ||x_k||_2^2 is exact, and its
-        root is bracketed (_sqrt_bracket) and summed upward (_outward)."""
-        total = sum((k + 1) * _sqrt_bracket(comp.l2_norm_squared(), norm)[1]
-                    for k, comp, norm in self.sphere_decomposition())
+        """sum_k (k+1)*||x_k||_2, rounded up, where x_k is the part of x on
+        words of length k; an upper bound for the reduced norm when rank >=
+        2.  Each ||x_k||_2^2 is exact, and its root is bracketed
+        (_sqrt_bracket, from math.hypot's guess) and summed upward
+        (_outward)."""
+        spheres: dict[int, list] = {}
+        for w, c in self.coeffs.items():
+            spheres.setdefault(len(w), []).append(c)
+        total = Fraction(0)
+        for k, cs in sorted(spheres.items()):
+            guess = math.hypot(*(abs(complex(c)) for c in cs))
+            total += (k + 1) * _sqrt_bracket(sum(map(_abs_squared, cs)),
+                                             guess)[1]
         return _outward(total, total)[1]
 
     # -- serialization: JSON array of [word, re, im] triples ---------------

@@ -142,7 +142,7 @@ def test_criterion_3_fiber_norm_exactness(fd, cyclic):
     ok = ok and worst <= 1e-8
     # cyclic fibers against the character formula
     rng = random.Random(17)
-    a = Word((1,), 1)
+    a = Word.parse("a", 1)
     worst_c = 0.0
     for n in range(1, 9):
         N = 2 ** n
@@ -209,7 +209,7 @@ def test_criterion_5_gap_experiment(fd):
 
 def test_criterion_6_amenable_control(cyclic):
     x = GroupAlgebraElement.from_pairs(
-        [(Word((1,), 1), 1.0), (Word((-1,), 1), 1.0)], 1)
+        [(Word.parse("a", 1), 1.0), (Word.parse("A", 1), 1.0)], 1)
     profile = norm_profile(FiberedFunction(cyclic, x), 8, radius=3200)
     sup_ok = abs(profile.sup_finite.lower - 2.0) < 1e-6
     inf_ok = (abs(profile.infinity.lower - 2.0) < 1e-6
@@ -326,7 +326,7 @@ def test_criterion_8_star_algebra_suite(fd):
 # -- 9: certificate round-trip --------------------------------------------------------
 
 def test_criterion_9_certificate_round_trip(cyclic):
-    a = Word((1,), 1)
+    a = Word.parse("a", 1)
     ok = True
     for n in (3, 5, 7):  # N = 8, 32, 128
         N = 2 ** n

@@ -23,18 +23,18 @@ from hlslab.errors import ResourceError
 from hlslab.perms import bfs_order, bfs_tree, layer_closure, point_table
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient, _class_reps,
                               enumerate_kernel_reps, kernel_refines)
-from hlslab.words import ball, letter_rank
+from hlslab.words import Word, ball
 
 
 def letter_perms(gens):
-    """Permutations of the letters in rank order: g1, g1^-1, g2, ..."""
+    """Permutations of the letters in code order: g1, g1^-1, g2, ..."""
     return [p for g in gens for p in (g, np.argsort(g).astype(g.dtype))]
 
 
 def fifo_closure(gens):
     """Index of every element of <gens> (permutation bytes -> index), in
-    FIFO discovery order by right multiplication with the letters in rank
-    order, and the discovery tree: tree[i] = (index, letter rank) of the
+    FIFO discovery order by right multiplication with the letters in code
+    order, and the discovery tree: tree[i] = (index, letter code) of the
     element and letter that first reached element i.  Composition (p q)(i)
     = p[q[i]]."""
     letters = letter_perms(gens)
@@ -92,6 +92,19 @@ def test_table_is_right_multiplication_of_tree_perms(towers, family, n):
             assert np.array_equal(perms[q.table[i, c]], p[s])
 
 
+@pytest.mark.parametrize("family,n", [(f, n) for f in quotients.FAMILIES
+                                      for n in (1, 2, 3)])
+def test_a_letter_code_is_a_table_column(towers, family, n):
+    # letter code c is column c of every table and character c of aAbB...
+    q = towers[family].quotient(n)
+    ball_index = BallIndex(q.rank, 2)
+    for c in range(2 * q.rank):
+        letter = Word((c,), q.rank)
+        assert q.evaluate(letter) == q.table[0, c]
+        assert ball_index.letter_move(c)[0] == 1 + c
+        assert str(letter) == "aAbBcC"[c]
+
+
 @pytest.mark.parametrize("family,n", FAMILY_LEVELS)
 def test_evaluate_matches_fifo_closure(towers, family, n):
     q = towers[family].quotient(n)
@@ -101,7 +114,7 @@ def test_evaluate_matches_fifo_closure(towers, family, n):
     for w in ball(4, q.rank):
         p = np.arange(q.degree, dtype=np.int32)
         for letter in w.letters:
-            p = p[letters[letter_rank(letter)]]
+            p = p[letters[letter]]
         assert q.evaluate(w) == index[p.tobytes()]
 
 

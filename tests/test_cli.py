@@ -291,7 +291,7 @@ def test_gap_ball_cap_counts_stored_points(cache, extra):
 
 
 def test_gap_rejects_non_self_adjoint(cache):
-    elem = element_json([(Word((1,), 2), 1)], 2)
+    elem = element_json([(Word.parse("a", 2), 1)], 2)
     code = run(["gap", "--family", "fd", "--n-max", "2",
                 "--element", elem], cache)
     assert code == 2
@@ -309,7 +309,7 @@ def test_gap_self_adjointness_is_scale_free(cache, tmp_path):
 
 def cyclic_uniform(n):
     N = 2 ** n
-    a = Word((1,), 1)
+    a = Word.parse("a", 1)
     from fractions import Fraction
     return element_json([(a ** j, Fraction(1, N)) for j in range(N)], 1)
 
@@ -487,9 +487,12 @@ KSETS = {"level-not-a-number": '[["x","a"]]', "not-a-list": '{"a":1}',
 CONFIGS = {"string-for-int": '{"n_max": "5"}', "null-for-int":
            '{"radius": null}', "string-for-switch": '{"timings": "no"}',
            "nan-margin": '{"margin": NaN}',
-           "infinite-ceiling": '{"infinity_ceiling": Infinity}'}
-# a nan or infinite float flag, and the config field it sets
-NON_FINITE_FLAGS = {
+           "infinite-ceiling": '{"infinity_ceiling": Infinity}',
+           "zero-margin": '{"margin": 0}',
+           "negative-ceiling": '{"infinity_ceiling": -1.5}'}
+# a float flag that is nan, infinite or of a sign that certifies nothing,
+# and the config field it sets
+BAD_FLOAT_FLAGS = {
     "margin-nan": (["gap", "--margin", "nan"], "margin"),
     "ceiling-inf": (["gap", "--infinity-ceiling", "inf"],
                     "infinity_ceiling"),
@@ -497,7 +500,13 @@ NON_FINITE_FLAGS = {
                      "nan"], "epsilon"),
     # at epsilon inf a certificate with translation defect 1 would pass
     "epsilon-inf": (["amen", "--element", '[["a",1,0]]', "--epsilon",
-                     "inf"], "epsilon")}
+                     "inf"], "epsilon"),
+    # the cyclic control's finite and infinity norms are both 2, yet each
+    # of these would flag a gap
+    "margin-negative": (["gap", "--margin", "-1"], "margin"),
+    "margin-zero": (["gap", "--margin", "0"], "margin"),
+    "ceiling-negative": (["gap", "--infinity-ceiling", "-5"],
+                         "infinity_ceiling")}
 SNAPSHOTS = {"garbage": "not json", "list": "[1, 2]",
              "string-value": '{"format_version": 1, "values": {"2": "x"}}',
              "nan-value": '{"format_version": 1, "values": {"2": NaN}}'}
@@ -526,7 +535,7 @@ MALFORMED_INPUTS = (
                     id="element-word-not-a-string")]
     + [pytest.param(args + ["--family", "cyclic", "--n-max", "2"], None,
                     None, named, id=f"flag-{name}")
-       for name, (args, named) in NON_FINITE_FLAGS.items()])
+       for name, (args, named) in BAD_FLOAT_FLAGS.items()])
 
 
 def stage(tmp_path, args, path, text):

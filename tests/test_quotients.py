@@ -224,7 +224,7 @@ def test_commutator_dies_in_abelian_quotient(fd):
 
 def test_evaluate_cyclic_power(cyclic):
     q = cyclic.quotient(3)  # Z/8
-    a = Word((1,), 1)
+    a = Word.parse("a", 1)
     assert q.evaluate(a ** 5) == q.evaluate(a ** -3)
     assert q.evaluate(a ** 8) == 0
     # the index-5 element is reached by composing the generator 5 times
@@ -337,11 +337,11 @@ def test_separation_level_matches_pairwise_differences(request, family,
 
 
 def test_separation_level_for_supports(fd, cyclic):
-    a, b = Word((1,), 2), Word((2,), 2)
+    a, b = Word.parse("a", 2), Word.parse("b", 2)
     assert fd.separation_level([a, b, Word.identity(2)]) == 2
-    gens = [Word((1,), 2), Word((-1,), 2), Word((2,), 2), Word((-2,), 2)]
+    gens = [Word.parse(c, 2) for c in "aAbB"]
     assert fd.separation_level(gens) == 3
-    span = [Word((1,), 1) ** j for j in range(-2, 3)]
+    span = [Word.parse("a", 1) ** j for j in range(-2, 3)]
     assert cyclic.separation_level(span) == 3
 
 

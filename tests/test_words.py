@@ -9,7 +9,7 @@ from hlslab.errors import InputError, ResourceError
 from hlslab.exact import RationalComplex
 from hlslab.words import GroupAlgebraElement, Word, ball, ball_size
 
-A, Ai, B, Bi = 1, -1, 2, -2
+A, Ai, B, Bi = 0, 1, 2, 3  # letter codes: a, A, b, B
 
 
 def w(*letters):
@@ -26,9 +26,9 @@ def test_reduce_cancellation():
 
 def test_reduce_rejects_bad_letters():
     with pytest.raises(InputError):
-        Word.reduce([3], rank=2)
+        Word.reduce([4], rank=2)
     with pytest.raises(InputError):
-        Word.reduce([0], rank=2)
+        Word.reduce([-1], rank=2)
 
 
 letters_strategy = st.lists(st.sampled_from([A, Ai, B, Bi]), max_size=12)
@@ -57,13 +57,12 @@ def test_multiply_examples():
 
 def test_rank_mismatch():
     with pytest.raises(InputError):
-        Word((1,), 1) * Word((1,), 2)
+        Word.parse("a", 1) * Word.parse("a", 2)
 
 
 @st.composite
 def reduced_words(draw, rank):
-    letters = draw(st.lists(st.sampled_from(
-        [l for g in range(1, rank + 1) for l in (g, -g)]), max_size=40))
+    letters = draw(st.lists(st.integers(0, 2 * rank - 1), max_size=40))
     return Word.reduce(letters, rank)
 
 
@@ -89,16 +88,21 @@ def test_multiply_matches_reducing_the_concatenation(pair):
     want = Word.reduce(u.letters + v.letters, u.rank)
     got = u * v
     assert got == want and got.letters == want.letters
-    assert u.inverse() == Word.reduce(tuple(-l for l in reversed(u.letters)),
-                                      u.rank)
+    assert u.inverse() == Word.reduce(
+        tuple(l ^ 1 for l in reversed(u.letters)), u.rank)
     e = Word.identity(u.rank)
     assert u * e == u and e * u == u and u * u.inverse() == e
+
+
+@given(st.integers(1, 3).flatmap(reduced_words))
+def test_parse_reads_what_str_writes(u):
+    assert Word.parse(str(u), u.rank) == u
 
 
 def test_parse_reduces_and_names_the_first_bad_letter():
     assert Word.parse("aA") == Word.identity(2)
     assert Word.parse("abBA") == Word.identity(2)
-    assert Word.parse(" aBbb ") == Word((1, 2), 2)
+    assert Word.parse(" aBbb ") == Word((A, B), 2)
     assert Word.parse("cC", rank=3) == Word.identity(3)
     with pytest.raises(InputError, match=r"^letter 'c' not valid for rank 2$"):
         Word.parse("abcxC")
@@ -203,26 +207,31 @@ def test_adjoint_involutive_complex():
     assert x.adjoint().adjoint().coeffs == x.coeffs
 
 
-# -- sphere decomposition -----------------------------------------------------
+# -- the Haagerup bound: sum_k (k+1) ||x_k||_2 over the spheres x_k ----------
 
 def test_sphere_decomposition_examples():
     e = GroupAlgebraElement.delta(Word.identity(2))
-    assert e.sphere_decomposition() == [(0, e, 1.0)]
+    assert e.haagerup_bound() == 1.0
+    # one sphere of radius 1 with l2 norm sqrt(2); the float sqrt(2) lies
+    # above the root, and twice it is exact
     x = GroupAlgebraElement.from_pairs([("a", 1), ("b", 1)])
-    [(k, comp, norm)] = x.sphere_decomposition()
-    assert k == 1 and comp.coeffs == x.coeffs
-    assert norm == pytest.approx(math.sqrt(2))
+    assert Fraction(math.sqrt(2)) ** 2 > 2
+    assert x.haagerup_bound() == 2 * math.sqrt(2)
+    # spheres 0 and 2 with l2 norms 1 and 2: 1*1 + 3*2
     y = GroupAlgebraElement.from_pairs([("e", 1), ("ab", 2)])
-    decomp = y.sphere_decomposition()
-    assert [(k, n) for k, _, n in decomp] == [(0, 1.0), (2, 2.0)]
+    assert y.haagerup_bound() == 7.0
+    # words of one length share a sphere: 3 * sqrt(3^2 + 4^2)
+    z = GroupAlgebraElement.from_pairs([("ab", 3), ("BA", -4)])
+    assert z.haagerup_bound() == 15.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_element())
 def test_sphere_pythagoras(x):
-    total = sum(comp.l2_norm_squared()
-                for _, comp, _ in x.sphere_decomposition())
-    assert total == x.l2_norm_squared()
+    # the spheres' l2 norms squared sum to ||x||_2^2, and the bound is at
+    # least the sum of those norms, hence at least ||x||_2
+    l2_squared = sum(abs(c) ** 2 for c in x.coeffs.values())
+    assert Fraction(x.haagerup_bound()) ** 2 >= l2_squared
 
 
 def test_haagerup_bound_generator_sum():
