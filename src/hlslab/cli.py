@@ -14,7 +14,6 @@ import json
 import math
 import random
 import sys
-import time
 from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -112,7 +111,6 @@ def cmd_quotients(config: ExperimentConfig) -> int:
     rows = []
     failed = False
     for n, q in enumerate(quotients, start=1):
-        t0 = time.monotonic()
         ss_ok = q.verify_schreier_sims()
         nest_ok = (kernel_refines(quotients[n], q)
                    if n < config.n_max else True)
@@ -120,31 +118,23 @@ def cmd_quotients(config: ExperimentConfig) -> int:
             failed = True
             print(f"check failed at level {n} (schreier_sims_ok={ss_ok}, "
                   f"nesting_ok={nest_ok})", file=sys.stderr)
-        row = {"level": n, "order": q.order, "degree": q.degree,
-               "schreier_sims_ok": ss_ok, "nesting_ok": nest_ok,
-               "separation_radius": sep_radii[n - 1]}
-        if config.timings:
-            row["wall_ms"] = int((time.monotonic() - t0) * 1000)
-        rows.append(row)
-    fields = ["level", "order", "degree", "schreier_sims_ok", "nesting_ok",
-              "separation_radius"]
-    if config.timings:
-        fields.append("wall_ms")
-    _write_report(config, "quotients", fields, rows,
+        rows.append({"level": n, "order": q.order, "degree": q.degree,
+                     "schreier_sims_ok": ss_ok, "nesting_ok": nest_ok,
+                     "separation_radius": sep_radii[n - 1]})
+    _write_report(config, "quotients",
+                  ["level", "order", "degree", "schreier_sims_ok",
+                   "nesting_ok", "separation_radius"], rows,
                   {"all_checks_passed": not failed})
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _gap_row(level, order, bracket, wall_ms, config):
-    row = {"level": level, "order": order,
-           "lower": _endpoint(bracket.lower, ROUND_FLOOR),
-           "upper": _endpoint(bracket.upper, ROUND_CEILING),
-           "provenance": f"{bracket.lower_provenance}|"
-                         f"{bracket.upper_provenance}",
-           "converged": bracket.converged}
-    if config.timings:
-        row["wall_ms"] = wall_ms
-    return row
+def _gap_row(level, order, bracket):
+    return {"level": level, "order": order,
+            "lower": _endpoint(bracket.lower, ROUND_FLOOR),
+            "upper": _endpoint(bracket.upper, ROUND_CEILING),
+            "provenance": f"{bracket.lower_provenance}|"
+                          f"{bracket.upper_provenance}",
+            "converged": bracket.converged}
 
 
 def cmd_gap(config: ExperimentConfig) -> int:
@@ -157,17 +147,12 @@ def cmd_gap(config: ExperimentConfig) -> int:
     base.check_levels(levels)
     for n in levels:  # build every level, then profile
         base.quotient(n)
-    t0 = time.monotonic()
     profile = gpd.norm_profile(gpd.FiberedFunction(base, x), config.n_max,
                                config.radius, config.ball_cap)
     ceiling, flagged = profile.gap(config.margin, config.infinity_ceiling)
-    wall = int((time.monotonic() - t0) * 1000)
-    rows = [_gap_row(r.level, r.order, r.bracket, wall, config)
-            for r in profile.rows]
-    rows.append(_gap_row("inf", "inf", profile.infinity, wall, config))
+    rows = [_gap_row(r.level, r.order, r.bracket) for r in profile.rows]
+    rows.append(_gap_row("inf", "inf", profile.infinity))
     fields = ["level", "order", "lower", "upper", "provenance", "converged"]
-    if config.timings:
-        fields.append("wall_ms")
     summary = {
         "sup_finite_lower": _endpoint(profile.sup_finite.lower, ROUND_FLOOR),
         "sup_finite_upper": _endpoint(profile.sup_finite.upper,
@@ -267,6 +252,8 @@ def _read_snapshot(path: Path) -> dict:
 def cmd_tau(config: ExperimentConfig) -> int:
     if config.rank < 2:
         raise InputError("the tau contrast needs a rank-2 family")
+    if config.n_max < 2:
+        raise InputError("the tau contrast starts at level 2: n_max >= 2")
     snap_path = _snapshot_path(config)
     recorded = {}  # read before any work, so a bad file fails fast
     if snap_path.exists() and not config.update_snapshots:
@@ -388,8 +375,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--update-snapshots", action="store_true", default=None,
                    dest="update_snapshots",
                    help="regenerate recorded tau snapshots")
-    p.add_argument("--timings", action="store_true", default=None,
-                   help="include wall_ms columns (breaks byte-stability)")
     p.add_argument("--config", dest="config_path",
                    help="JSON config file (flags override it)")
 

@@ -42,7 +42,6 @@ class ExperimentConfig:
     out: str | None = None
     cache_dir: str = field(default_factory=default_cache_dir)
     update_snapshots: bool = False
-    timings: bool = False
     infinity_ceiling: float | None = None
 
     def __post_init__(self):

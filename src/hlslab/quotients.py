@@ -401,10 +401,7 @@ class ApproximatedGroup:
         if len(words) < 2:
             return 1
         for n in range(1, depth_cap + 1):
-            try:
-                q = self.quotient(n)
-            except ResourceError:
-                break
+            q = self.quotient(n)
             if len({q.evaluate(w) for w in words}) == len(words):
                 return n
         raise ResourceError(

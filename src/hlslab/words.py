@@ -2,9 +2,10 @@
 
 A letter is a column of a right Cayley table: code c in range(2 * rank),
 where 2i is the (i+1)-th generator and 2i + 1 its inverse, so c ^ 1
-inverts c.  Written out, code c is the c-th character of "aAbB...zZ" (a
-capital letter denotes an inverse), and the numeric order of the codes is
-the normative order a < A < b < B < ... used for shortlex enumeration and
+inverts c.  Written out, code c is the c-th character of "aAbBcCdDfF...zZ"
+(a capital letter denotes an inverse; "e" is the identity, not a letter,
+so the rank is at most 25), and the numeric order of the codes is the
+normative order a < A < b < B < ... used for shortlex enumeration and
 serialization.
 """
 
@@ -22,10 +23,14 @@ from .exact import RationalComplex, conj, imag_part, is_exact, real_part
 DEFAULT_BALL_CAP = 5_000_000
 
 # code c is the c-th character: a -> 0, A -> 1, b -> 2, ...
-_LETTERS = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
+_LETTERS = "".join(c + c.upper() for c in "abcdfghijklmnopqrstuvwxyz")
+MAX_RANK = len(_LETTERS) // 2
 
 
 def check_letters(letters: Iterable[int], rank: int) -> None:
+    if not (type(rank) is int and 1 <= rank <= MAX_RANK):
+        raise InputError(f"rank must be an integer in 1..{MAX_RANK}, "
+                         f"not {rank!r}")
     for l in letters:
         if not isinstance(l, int) or not 0 <= l < 2 * rank:
             raise InputError(f"invalid letter code {l!r} for rank {rank}")
@@ -109,10 +114,11 @@ class Word:
     def parse(s: str, rank: int = 2) -> "Word":
         if not isinstance(s, str):
             raise InputError(f"a word must be a string, not {s!r}")
+        check_letters((), rank)
         s = s.strip()
         if s in ("", "e"):
             return Word.identity(rank)
-        codes = {c: l for l, c in enumerate(_LETTERS[:2 * max(rank, 0)])}
+        codes = {c: l for l, c in enumerate(_LETTERS[:2 * rank])}
         try:
             letters = [codes[c] for c in s]
         except KeyError:

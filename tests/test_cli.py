@@ -66,16 +66,22 @@ def test_quotients_fd(cache, tmp_path):
     assert all(r["schreier_sims_ok"] == "true" for r in rows)
     assert all(r["nesting_ok"] == "true" for r in rows)
     assert results["all_checks_passed"] == "true"
-    assert "wall_ms" not in rows[0]
+    assert list(rows[0]) == ["level", "order", "degree", "schreier_sims_ok",
+                             "nesting_ok", "separation_radius"]
 
 
-def test_quotients_timings_column(cache, tmp_path):
-    out = tmp_path / "q.csv"
-    code = run(["quotients", "--family", "cyclic", "--n-max", "3",
-                "--timings"], cache, out)
-    assert code == 0
-    _, rows, _ = parse_report(out.read_text())
-    assert all("wall_ms" in r for r in rows)
+def test_timings_is_neither_a_flag_nor_a_config_key(cache, tmp_path,
+                                                     capsys):
+    # a run is timed by perfbench/traced_cli.py, which leaves the report
+    # as it is
+    with pytest.raises(SystemExit) as exc:
+        run(["quotients", "--family", "cyclic", "--n-max", "3",
+             "--timings"], cache)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"timings": False}))
+    assert run(["quotients", "--config", str(cfg)], cache) == 2
+    assert "unknown config key 'timings'" in capsys.readouterr().err
 
 
 def test_quotients_resource_error(cache):
@@ -420,14 +426,15 @@ def test_config_file_merge(cache, tmp_path):
     cfg = tmp_path / "cfg.json"
     # an int where a float is wanted, and null where the default is None
     cfg.write_text(json.dumps({"family": "cyclic", "n_max": 4, "margin": 1,
-                               "element": None, "timings": False}))
+                               "element": None,
+                               "update_snapshots": False}))
     out = tmp_path / "q.csv"
     code = main(["quotients", "--config", str(cfg), "--n-max", "2",
                  "--cache-dir", cache, "--out", str(out)])
     assert code == 0
     config, rows, _ = parse_report(out.read_text())
     assert config["family"] == "cyclic"  # from the file
-    assert config["margin"] == "1" and config["timings"] == "False"
+    assert config["margin"] == "1" and config["update_snapshots"] == "False"
     assert len(rows) == 2                # flag overrides the file
 
 
@@ -485,7 +492,8 @@ KSETS = {"level-not-a-number": '[["x","a"]]', "not-a-list": '{"a":1}',
          "triple": '[[3,"a",1]]', "fractional-level": '[[3.7,"a"]]',
          "boolean-level": '[[true,"a"]]'}
 CONFIGS = {"string-for-int": '{"n_max": "5"}', "null-for-int":
-           '{"radius": null}', "string-for-switch": '{"timings": "no"}',
+           '{"radius": null}',
+           "string-for-switch": '{"update_snapshots": "no"}',
            "nan-margin": '{"margin": NaN}',
            "infinite-ceiling": '{"infinity_ceiling": Infinity}',
            "zero-margin": '{"margin": 0}',
@@ -532,7 +540,10 @@ MALFORMED_INPUTS = (
                     "self-adjoint", id="gap-tiny-non-self-adjoint"),
        pytest.param(["gap", "--family", "fd", "--n-max", "2", "--element",
                      '[[5,1,0]]'], None, None, "word",
-                    id="element-word-not-a-string")]
+                    id="element-word-not-a-string"),
+       # the contrast's first level is 2, so n_max 1 would compare nothing
+       pytest.param(["tau", "--n-max", "1"], None, None, "n_max",
+                    id="tau-n-max-1")]
     + [pytest.param(args + ["--family", "cyclic", "--n-max", "2"], None,
                     None, named, id=f"flag-{name}")
        for name, (args, named) in BAD_FLOAT_FLAGS.items()])

@@ -132,7 +132,7 @@ def test_lift_threshold_cyclic_ball(cyclic):
 def test_lift_depth_cap(fd):
     x = GroupAlgebraElement.from_pairs(
         [(Word.identity(2), 1), (Word.parse("abAB"), 1)], 2)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="no level <= 4 separates"):
         standard_lift(x, fd, depth_cap=4)
 
 

@@ -346,9 +346,21 @@ def test_separation_level_for_supports(fd, cyclic):
 
 
 def test_separation_level_depth_cap(fd):
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="no level <= 4 separates"):
         fd.separation_level([Word.identity(2), Word.parse("abAB")],
                             depth_cap=4)
+
+
+def test_separation_level_reports_the_cap_that_stops_it():
+    # groups of order <= 3 send a^6 to the identity, so fd needs level 4,
+    # which the homomorphism cap refuses; cyclic needs level 4 (order 16),
+    # which the fiber cap refuses
+    fd = ApproximatedGroup("fd", hom_level_cap=3)
+    with pytest.raises(ResourceError, match="homomorphism enumeration cap 3"):
+        fd.separation_level([Word.identity(2), Word.parse("aaaaaa")])
+    cyclic = ApproximatedGroup("cyclic", fiber_cap=8)
+    with pytest.raises(ResourceError, match="above the fiber cap 8"):
+        cyclic.separation_level([Word.identity(1), Word.parse("a", 1) ** 8])
 
 
 # -- disk cache ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlslab.errors import InputError, ResourceError
@@ -94,9 +94,23 @@ def test_multiply_matches_reducing_the_concatenation(pair):
     assert u * e == u and e * u == u and u * u.inverse() == e
 
 
-@given(st.integers(1, 3).flatmap(reduced_words))
+@given(st.integers(1, 25).flatmap(reduced_words))
+@example(Word((8,), 5))  # the fifth generator alone, once spelled "e"
 def test_parse_reads_what_str_writes(u):
     assert Word.parse(str(u), u.rank) == u
+
+
+def test_rank_is_1_to_25_and_e_is_no_letter():
+    # "e" spells the identity, so the fifth generator is "f"
+    assert str(Word((8, 7), 5)) == "fD" and Word.parse("fD", 5) == Word(
+        (8, 7), 5)
+    assert str(Word((48, 1), 25)) == "zA"
+    for rank in (0, 26, True, 2.0):
+        for build in (lambda: Word((), rank), lambda: Word.reduce([], rank),
+                      lambda: Word.parse("a", rank)):
+            with pytest.raises(InputError, match=r"^rank must be an "
+                               r"integer in 1\.\.25"):
+                build()
 
 
 def test_parse_reduces_and_names_the_first_bad_letter():
