@@ -23,7 +23,7 @@ from . import groupoid as gpd
 from .config import ExperimentConfig, build_config
 from .errors import InputError, ResourceError
 from .quotients import FAMILIES, ApproximatedGroup, kernel_refines
-from .words import GroupAlgebraElement, Word, ball, ball_size, l1_of
+from .words import GroupAlgebraElement, Word, ball, l1_of
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -31,10 +31,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
-
-# the quotients report checks separation on the largest ball within
-# --radius that has at most this many words (radius 8 in rank 2)
-SEPARATION_BALL_WORDS = 20_000
 
 
 def _fmt(v) -> str:
@@ -103,11 +99,7 @@ def cmd_quotients(config: ExperimentConfig) -> int:
     levels = range(1, config.n_max + 1)
     base.check_levels(levels)
     quotients = [base.quotient(n) for n in levels]
-    sep_radius = 0
-    while (sep_radius < config.radius and ball_size(sep_radius + 1, base.rank)
-           <= SEPARATION_BALL_WORDS):
-        sep_radius += 1
-    sep_radii = base.check_separation(sep_radius, config.n_max)
+    sep_radii = base.check_separation(config.radius, config.n_max)
     rows = []
     failed = False
     for n, q in enumerate(quotients, start=1):
@@ -351,9 +343,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, dest="n_max",
                    help="deepest quotient level")
     p.add_argument("--radius", type=int,
-                   help="truncation / separation radius (quotients caps "
-                        f"the separation ball at {SEPARATION_BALL_WORDS:,} "
-                        "words: radius 8 in rank 2)")
+                   help="truncation / separation radius")
     p.add_argument("--margin", type=float, help="gap flag margin")
     p.add_argument("--cache-dir", dest="cache_dir",
                    help="quotient cache directory (env HLSLAB_CACHE)")

@@ -469,11 +469,12 @@ class CertificateReport:
 
 def defects(coeffs: dict, g, multiply, inverse) -> tuple:
     """Normalization defect |sum_h eta(h) - 1| and translation defect
-    sum_h |eta(h) - eta(h g)| of one fiber's coefficients."""
+    sum_h |eta(h) - eta(h g)| of one fiber's coefficients.  An h outside
+    the support S counts only as h = s g^-1 with s in S, adding |eta(s)|."""
     g_inv = inverse(g)
-    hs = set(coeffs) | {multiply(h, g_inv) for h in coeffs}
-    translation = sum(abs(coeffs.get(h, 0) - coeffs.get(multiply(h, g), 0))
-                      for h in hs)
+    translation = sum(abs(c - coeffs.get(multiply(h, g), 0))
+                      + (0 if multiply(h, g_inv) in coeffs else abs(c))
+                      for h, c in coeffs.items())
     return abs(sum(coeffs.values()) - 1), translation
 
 

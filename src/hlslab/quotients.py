@@ -28,10 +28,9 @@ letter pairs, and bfs_tree's BFS-order check) instead of redoing the BFS;
 zip's CRC-32 catches corrupt bytes.  The tie to the generators is the
 Schreier-Sims order check the quotients report runs on every level.
 
-Nesting and separation go through the same tables: kernel_refines is one
+Nesting and separation read the same tables: kernel_refines is one
 propagation of a level's BFS tree through the level below, and
-check_separation is one propagation of a free-group ball's BFS tree
-through each level.
+check_separation reads each level's girth off its own BFS tree.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .balls import BallIndex
 from .errors import InputError, ResourceError
 from .perms import (bfs_order, bfs_tree, layer_closure, point_table,
                     propagate, schreier_sims_order)
@@ -373,25 +371,31 @@ class ApproximatedGroup:
     def check_separation(self, radius: int, depth: int) -> list[int]:
         """Separation radius of each level 1..depth: the largest r <= radius
         such that every nontrivial word of length <= r maps to a
-        nontrivial element at that level or an earlier one.
+        nontrivial element at that level (or an earlier one: the kernels
+        are nested, as the quotients report's nesting_ok checks).
 
-        The ball's BFS tree is propagated through each level's right
-        table, giving every ball word's image at once; the ball is in
-        shortlex order, so the first word still unseparated is a shortest
-        one.
+        That is min(girth - 1, radius).  The Cayley graph is
+        vertex-transitive, so its girth is the least d(g) + d(h) + 1 over
+        the edges g -> h = R[g, c] off the BFS tree (d the BFS depth); the
+        identity's loops and parallel edges are off it, so a trivial level
+        reads 0 and Z/2 reads 1.  Adjacent depths differ by at most 1, so
+        an edge closing a cycle of length <= radius + 1 has its shallower
+        end at depth <= radius // 2, and only those rows are read.
         """
-        bi = BallIndex(self.rank, radius)
-        # the slot past the ball stands for the first word outside it
-        unseparated = np.ones(bi.size + 1, dtype=bool)
-        unseparated[0] = False  # the identity word
         radii = []
         for n in range(1, depth + 1):
             q = self.quotient(n)
-            unseparated[:-1] &= propagate(q.table, bi.parent, bi.letter,
-                                          bi.layer_ends, 0) == 0
-            first = int(np.argmax(unseparated))
-            radii.append(int(np.searchsorted(bi.layer_ends, first,
-                                             side="right")) - 1)
+            ends = q.layer_ends
+            rows = ends[min(radius // 2, len(ends) - 1)]
+            g = np.arange(rows)[:, None]
+            h = q.table[:rows]
+            c = np.arange(h.shape[1])
+            tree = (((q.parent[h] == g) & (q.letter[h] == c) & (h > 0))
+                    | ((q.parent[g] == h) & (q.letter[g] == c ^ 1) & (g > 0)))
+            cycles = (np.searchsorted(ends, g, side="right")
+                      + np.searchsorted(ends, h, side="right") + 1)[~tree]
+            girth = int(cycles.min()) if cycles.size else radius + 1
+            radii.append(min(girth - 1, radius))
         return radii
 
     def separation_level(self, words: list[Word], depth_cap: int = 20) -> int:

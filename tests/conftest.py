@@ -1,6 +1,7 @@
 import pytest
 
 from hlslab import spectral
+from hlslab.balls import BallIndex
 from hlslab.quotients import ApproximatedGroup
 
 
@@ -44,3 +45,17 @@ def no_solver(monkeypatch):
         raise AssertionError("unexpected Lanczos solve")
 
     monkeypatch.setattr(spectral, "lanczos_extreme", refuse)
+
+
+@pytest.fixture()
+def balls_built(monkeypatch):
+    """The arguments of every BallIndex built while the test runs."""
+    built = []
+    init = BallIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BallIndex, "__init__", counting)
+    return built

@@ -70,6 +70,18 @@ def test_quotients_fd(cache, tmp_path):
                              "nesting_ok", "separation_radius"]
 
 
+def test_quotients_separation_is_not_capped(cache, tmp_path, balls_built):
+    # at the default radius 12, congruence levels 5 and 6 separate up to
+    # their girths less one, and a cold run builds no free-group ball
+    out = tmp_path / "q.csv"
+    assert run(["quotients", "--family", "congruence", "--n-max", "6"],
+               cache, out) == 0
+    config, rows, _ = parse_report(out.read_text())
+    assert config["radius"] == "12"
+    assert [r["separation_radius"] for r in rows[4:]] == ["9", "11"]
+    assert balls_built == []
+
+
 def test_timings_is_neither_a_flag_nor_a_config_key(cache, tmp_path,
                                                      capsys):
     # a run is timed by perfbench/traced_cli.py, which leaves the report

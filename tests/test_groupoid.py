@@ -17,7 +17,7 @@ from hlslab.errors import (DegenerateCertificateError, InputError,
 from hlslab.exact import RationalComplex
 from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              adjoint_fibered, certificate_from_folner,
-                             check_certificate, convolve_fibered,
+                             check_certificate, convolve_fibered, defects,
                              fiber_matvec, fiber_norm_bracket,
                              folner_from_certificate, infinity_norm_bracket,
                              markov_element, norm_profile,
@@ -659,19 +659,6 @@ def test_radial_truncation_checks_its_cap():
         truncation_lower_bound(gen_sum(), 14, 14)
 
 
-@pytest.fixture()
-def balls_built(monkeypatch):
-    built = []
-    init = BallIndex.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BallIndex, "__init__", counting)
-    return built
-
-
 def test_generator_sum_builds_no_ball(balls_built):
     truncation_lower_bound(gen_sum(), 4)
     truncation_lower_bound(markov_element(3), 4)
@@ -898,6 +885,43 @@ def test_certificate_round_trip_exact(cyclic):
     cert = certificate_from_folner(xi, cyclic, [(3, 1)], 0.5)
     back = folner_from_certificate(cert)
     assert dict(back.coeffs) == dict(xi.scale(Fraction(1)).coeffs)
+
+
+def set_translation_defect(coeffs, g, multiply, inverse):
+    """sum_h |eta(h) - eta(h g)| over the set S | S g^-1, S the support."""
+    g_inv = inverse(g)
+    hs = set(coeffs) | {multiply(h, g_inv) for h in coeffs}
+    return sum(abs(coeffs.get(h, 0) - coeffs.get(multiply(h, g), 0))
+               for h in hs)
+
+
+@pytest.mark.parametrize("fiber,g,involution", [
+    ("inf-2", "e", False), ("inf-2", "aB", False), ("inf-1", "aa", False),
+    ("fd-2", "a", True), ("fd-3", "e", False), ("fd-3", "ab", False),
+    ("cyclic-1", "a", True), ("cyclic-3", "aaaa", True),
+    ("cyclic-3", "a", False),
+])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_translation_defect_matches_the_set_sum(fd, cyclic, fiber, g,
+                                                involution, data):
+    name, level = fiber.split("-")
+    rank = 1 if name == "cyclic" or fiber == "inf-1" else 2
+    g = Word.parse(g, rank)
+    if name == "inf":
+        keys = st.sampled_from(ball(3, rank))
+        group = (Word.__mul__, Word.inverse)
+    else:
+        q = (fd if name == "fd" else cyclic).quotient(int(level))
+        g = q.evaluate(g)
+        assert not involution or (g and q.multiply(g, g) == 0)
+        keys = st.integers(0, q.order - 1)
+        group = (q.multiply, q.invert_element)
+    coeffs = data.draw(st.dictionaries(
+        keys, st.fractions(-3, 3, max_denominator=12).filter(bool),
+        max_size=8))
+    assert defects(coeffs, g, *group)[1] == \
+        set_translation_defect(coeffs, g, *group)
 
 
 def test_certificate_rejects_out_of_range(cyclic):

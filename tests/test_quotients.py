@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlslab import quotients
-from hlslab.cli import SEPARATION_BALL_WORDS
 from hlslab.errors import InputError, ResourceError
 from hlslab.perms import bfs_order, bfs_tree, schreier_sims_order
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
                               enumerate_kernel_reps, kernel_refines)
-from hlslab.words import Word, ball, ball_size
+from hlslab.words import Word, ball
 
 
 def cyclic_perm(m, shift):
@@ -261,33 +260,44 @@ def brute_separation(base, radius, depth):
     return radii
 
 
-def bound_radius(rank):
-    """The radius the quotients report checks separation on: the largest
-    whose ball has at most SEPARATION_BALL_WORDS words."""
-    r = 0
-    while ball_size(r + 1, rank) <= SEPARATION_BALL_WORDS:
-        r += 1
-    return r
-
-
-def test_separation_bound_is_radius_8_in_rank_2():
-    assert bound_radius(2) == 8
-
-
 @pytest.mark.parametrize("family,depth,radius", [
-    ("fd", 4, 0), ("fd", 4, 3), ("fd", 4, "bound"),
-    ("congruence", 4, 0), ("congruence", 4, 5), ("congruence", 4, "bound"),
+    ("fd", 4, 0), ("fd", 4, 3), ("fd", 4, 8),
+    ("congruence", 4, 0), ("congruence", 4, 5), ("congruence", 4, 8),
+    # level 5's girth is 10, so it separates every word up to length 9
+    ("congruence", 5, 9),
     ("cyclic", 6, 0), ("cyclic", 6, 20), ("cyclic", 6, 70),
 ])
 def test_separation_matches_word_by_word_search(request, family, depth,
                                                 radius):
-    # in rank 1 the word bound is radius 9,999; radius 70 already lies
-    # past level 6's separation radius 63
+    # radius 70 lies past cyclic level 6's separation radius 63
     base = request.getfixturevalue(family)
-    if radius == "bound":
-        radius = bound_radius(base.rank)
     assert base.check_separation(radius, depth) == \
         brute_separation(base, radius, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_separation_is_the_girth_of_any_quotient(data):
+    # one level from arbitrary permutations: odd girths (Z/3, S_3) and a
+    # trivial generator beside a nontrivial one occur here, not in the
+    # three families
+    rank = data.draw(st.sampled_from([1, 2]), label="rank")
+    d = data.draw(st.integers(1, 6), label="degree")
+    gens = [np.array(data.draw(st.permutations(range(d))), dtype=np.int32)
+            for _ in range(rank)]
+    base = ApproximatedGroup("cyclic" if rank == 1 else "fd")
+    base._memory[1] = quotient(gens)
+    top = 12 if rank == 1 else 7
+    want = brute_separation(base, top, 1)[0]
+    assert [base.check_separation(r, 1)[0] for r in range(top + 1)] == \
+        [min(want, r) for r in range(top + 1)]
+
+
+def test_separation_builds_no_ball(congruence, balls_built):
+    # each level's girth is read off its own BFS tree, so a radius whose
+    # ball would hold 1,062,881 words costs no more than a small one
+    assert congruence.check_separation(12, 6) == [0, 1, 3, 7, 9, 11]
+    assert balls_built == []
 
 
 def test_separation_fd_radius_2(fd):
