@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import groupoid as gpd
-from .config import ExperimentConfig, build_config
+from .config import ExperimentConfig
 from .errors import InputError, ResourceError
 from .quotients import FAMILIES, ApproximatedGroup, kernel_refines
 from .words import GroupAlgebraElement, Word, ball, l1_of
@@ -49,6 +49,16 @@ def _endpoint(v: float, rounding: str) -> str:
     return _fmt(float(Context(prec=12, rounding=rounding).plus(Decimal(v))))
 
 
+def _write_text(path: Path, text: str, what: str) -> None:
+    """Writes text to path, making its parent; an OSError becomes an
+    InputError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise InputError(f"cannot write {what} {path}: {e}") from e
+
+
 def _write_report(config: ExperimentConfig, command: str,
                   fieldnames: list[str], rows: list[dict],
                   summary: dict) -> None:
@@ -64,8 +74,7 @@ def _write_report(config: ExperimentConfig, command: str,
         buf.write(f"# result {k}={_fmt(summary[k])}\n")
     text = buf.getvalue()
     if config.out:
-        Path(config.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(config.out).write_text(text)
+        _write_text(Path(config.out), text, "report")
     else:
         sys.stdout.write(text)
 
@@ -274,10 +283,9 @@ def cmd_tau(config: ExperimentConfig) -> int:
     new_values = dict(recorded)
     new_values.update({str(n): cv for n, cv in zip(levels, cong_vals)})
     if config.update_snapshots or not snap_path.exists():
-        snap_path.parent.mkdir(parents=True, exist_ok=True)
-        snap_path.write_text(json.dumps(
+        _write_text(snap_path, json.dumps(
             {"format_version": SNAPSHOT_FORMAT_VERSION, "values": new_values},
-            sort_keys=True))
+            sort_keys=True), "tau snapshot")
     _write_report(config, "tau",
                   ["level", "fd_second_eigenvalue",
                    "congruence_second_eigenvalue"],
@@ -365,8 +373,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--update-snapshots", action="store_true", default=None,
                    dest="update_snapshots",
                    help="regenerate recorded tau snapshots")
-    p.add_argument("--config", dest="config_path",
-                   help="JSON config file (flags override it)")
 
 
 COMMANDS = {
@@ -388,10 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=fn.__doc__)
         _add_common(p)
     args = parser.parse_args(argv)
-    values = {k: v for k, v in vars(args).items()
-              if k not in ("command", "config_path")}
     try:
-        config = build_config(values, args.config_path)
+        config = ExperimentConfig(**{k: v for k, v in vars(args).items()
+                                     if k != "command" and v is not None})
         return COMMANDS[args.command](config)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Experiment configuration: defaults < config file < command-line flags.
+"""Experiment configuration: defaults < command-line flags.
 
 The effective configuration is echoed into every report header so recorded
 numbers are reproducible from the report alone.
@@ -6,7 +6,6 @@ numbers are reproducible from the report alone.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -82,47 +81,3 @@ class ExperimentConfig:
             items.append((f.name, "" if v is None else str(v)))
         return sorted(items)
 
-
-# the JSON values a config file may give a field of each type; a bool is
-# an int in Python, so it is refused where a number is wanted
-_FILE_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
-               "str": (str,)}
-
-
-def _check_file_value(f, v) -> None:
-    """InputError naming the key unless v suits field f: a bool for a
-    switch, an int for an int, a number for a float, a string for a
-    string, and null only where the default is None."""
-    kind = f.type.split(" | ")[0]  # the annotation, e.g. "float | None"
-    if v is None:
-        ok = f.default is None
-    else:
-        ok = (isinstance(v, _FILE_TYPES[kind])
-              and isinstance(v, bool) == (kind == "bool"))
-    if not ok:
-        null = " or null" if f.default is None else ""
-        raise InputError(f"config key {f.name!r} must be a {kind}{null}, "
-                         f"not {json.dumps(v)}")
-
-
-def build_config(cli_values: dict, config_path: str | None) -> ExperimentConfig:
-    """Merge defaults, an optional JSON config file, and CLI flag values
-    (None means the flag was not given)."""
-    merged: dict = {}
-    if config_path:
-        try:
-            file_values = json.loads(Path(config_path).read_text())
-        except (OSError, ValueError) as e:  # ValueError: not UTF-8 JSON
-            raise InputError(f"cannot read config file {config_path}: {e}") from e
-        if not isinstance(file_values, dict):
-            raise InputError("config file must hold a JSON object")
-        known = {f.name: f for f in fields(ExperimentConfig)}
-        for k, v in file_values.items():
-            if k not in known:
-                raise InputError(f"unknown config key {k!r}")
-            _check_file_value(known[k], v)
-            merged[k] = v
-    for k, v in cli_values.items():
-        if v is not None:
-            merged[k] = v
-    return ExperimentConfig(**merged)

@@ -24,13 +24,12 @@ from . import spectral
 from .balls import BallIndex
 from .errors import DegenerateCertificateError, InputError, ResourceError
 from .exact import imag_part, is_exact, real_part
-from .quotients import ApproximatedGroup, FiniteQuotient
+from .quotients import DEFAULT_DEPTH_CAP, ApproximatedGroup, FiniteQuotient
 from .spectral import ROUNDING_ULPS, NormBracket, singular_value_bracket
 from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
                     adjoint_coeffs, convolve_coeffs, l1_of)
 
 INFINITY = "inf"
-DEFAULT_LIFT_DEPTH_CAP = 20
 TRUNCATION_TOL_REL = 1e-9  # the ball solve's requested relative width
 
 
@@ -124,7 +123,7 @@ def adjoint_fibered(f: FiberedFunction) -> FiberedFunction:
 
 
 def standard_lift(x: GroupAlgebraElement, groupoid: ApproximatedGroup,
-                  depth_cap: int = DEFAULT_LIFT_DEPTH_CAP) -> FiberedFunction:
+                  depth_cap: int = DEFAULT_DEPTH_CAP) -> FiberedFunction:
     """The canonical lift of x: zero below the first level whose quotient
     map is injective on supp(x), pushforward of x from there on."""
     support = x.support()
@@ -269,16 +268,16 @@ def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
     bound for the reduced free-group norm.  An empty x gives (0.0, True);
     a positive multiple of the generator sum in rank >= 2 takes the radial
     reduction; anything else takes Lanczos on the ball.  The cap bounds
-    the points the chosen path stores.  The ball path reads the l1 norm
-    first, so a norm too large to solve is refused before the solve.  An
+    the points the chosen path stores.  The l1 norm is read first, so
+    one rule refuses a norm too large to solve on both paths.  An
     unconverged solve yields its Rayleigh lower bound, still certified,
     with converged False."""
     if not x.coeffs:
         return 0.0, True
+    l1 = x.l1_norm()
     c = _radial_scale(x)
     if c is not None:
         return _radial_lower(c, x.rank, radius, ball_cap), True
-    l1 = x.l1_norm()
     bi = BallIndex(x.rank, radius, cap=ball_cap)
     dtype = _fiber_dtype(x.coeffs)
     x_star = x.adjoint()
@@ -298,7 +297,7 @@ def infinity_norm_bracket(x: GroupAlgebraElement, radius: int,
     truncation (truncation_lower_bound) below, min(l1, Haagerup) above;
     an empty x reads [0, 0].  converged is False when the truncation solve
     did not certify its requested width."""
-    l1 = x.l1_norm()  # refuses a norm too large to solve, before the solve
+    l1 = x.l1_norm()
     lower, converged = truncation_lower_bound(x, radius, ball_cap)
     upper, upper_prov = l1, "l1"
     if x.rank >= 2:

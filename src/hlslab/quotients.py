@@ -51,6 +51,7 @@ from .words import GroupAlgebraElement, Word
 CACHE_FORMAT_VERSION = 3
 DEFAULT_FIBER_CAP = 2_000_000
 DEFAULT_HOM_LEVEL_CAP = 6
+DEFAULT_DEPTH_CAP = 20  # deepest level separation_level tries
 
 FAMILIES = ("fd", "congruence", "cyclic")
 FAMILY_RANK = {"fd": 2, "congruence": 2, "cyclic": 1}
@@ -353,16 +354,19 @@ class ApproximatedGroup:
         else:
             q = self._build(n)
             if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
                 try:
-                    with os.fdopen(fd, "wb") as fh:
-                        np.savez(fh, **q.to_cache_dict())
-                    os.replace(tmp, path)  # atomic for concurrent writers
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+                    try:
+                        with os.fdopen(fd, "wb") as fh:
+                            np.savez(fh, **q.to_cache_dict())
+                        os.replace(tmp, path)  # atomic for concurrent writers
+                    except BaseException:
+                        if os.path.exists(tmp):
+                            os.unlink(tmp)
+                        raise
+                except OSError as e:
+                    raise InputError(f"cannot write {path}: {e}") from e
         self._memory[n] = q
         return q
 
@@ -398,7 +402,8 @@ class ApproximatedGroup:
             radii.append(min(girth - 1, radius))
         return radii
 
-    def separation_level(self, words: list[Word], depth_cap: int = 20) -> int:
+    def separation_level(self, words: list[Word],
+                         depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
         """Minimal N with pi_N injective on the given set of words."""
         if len(set(words)) < len(words):
             raise InputError("duplicate words in separation query")

@@ -82,18 +82,14 @@ def test_quotients_separation_is_not_capped(cache, tmp_path, balls_built):
     assert balls_built == []
 
 
-def test_timings_is_neither_a_flag_nor_a_config_key(cache, tmp_path,
-                                                     capsys):
+def test_neither_timings_nor_config_is_a_flag(cache):
     # a run is timed by perfbench/traced_cli.py, which leaves the report
-    # as it is
-    with pytest.raises(SystemExit) as exc:
-        run(["quotients", "--family", "cyclic", "--n-max", "3",
-             "--timings"], cache)
-    assert exc.value.code == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"timings": False}))
-    assert run(["quotients", "--config", str(cfg)], cache) == 2
-    assert "unknown config key 'timings'" in capsys.readouterr().err
+    # as it is, and flags are the one way to set a run
+    for flag in (["--timings"], ["--config", "cfg.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["quotients", "--family", "cyclic", "--n-max", "3", *flag],
+                cache)
+        assert exc.value.code == 2
 
 
 def test_quotients_resource_error(cache):
@@ -434,31 +430,6 @@ def test_convolve_check(cache, tmp_path):
 
 # -- config and argument handling ----------------------------------------------
 
-def test_config_file_merge(cache, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    # an int where a float is wanted, and null where the default is None
-    cfg.write_text(json.dumps({"family": "cyclic", "n_max": 4, "margin": 1,
-                               "element": None,
-                               "update_snapshots": False}))
-    out = tmp_path / "q.csv"
-    code = main(["quotients", "--config", str(cfg), "--n-max", "2",
-                 "--cache-dir", cache, "--out", str(out)])
-    assert code == 0
-    config, rows, _ = parse_report(out.read_text())
-    assert config["family"] == "cyclic"  # from the file
-    assert config["margin"] == "1" and config["update_snapshots"] == "False"
-    assert len(rows) == 2                # flag overrides the file
-
-
-def test_config_file_not_in_utf8_is_an_input_error(cache, tmp_path,
-                                                   capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(b"\xff\xfe{}")
-    assert main(["quotients", "--config", str(cfg), "--cache-dir",
-                 cache]) == 2
-    assert "cfg.json" in capsys.readouterr().err
-
-
 def test_unknown_flag_exits_nonzero(cache, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quotients", "--no-such-flag"])
@@ -503,13 +474,6 @@ def test_malformed_coefficients_are_input_errors(cache, capsys, command,
 KSETS = {"level-not-a-number": '[["x","a"]]', "not-a-list": '{"a":1}',
          "triple": '[[3,"a",1]]', "fractional-level": '[[3.7,"a"]]',
          "boolean-level": '[[true,"a"]]'}
-CONFIGS = {"string-for-int": '{"n_max": "5"}', "null-for-int":
-           '{"radius": null}',
-           "string-for-switch": '{"update_snapshots": "no"}',
-           "nan-margin": '{"margin": NaN}',
-           "infinite-ceiling": '{"infinity_ceiling": Infinity}',
-           "zero-margin": '{"margin": 0}',
-           "negative-ceiling": '{"infinity_ceiling": -1.5}'}
 # a float flag that is nan, infinite or of a sign that certifies nothing,
 # and the config field it sets
 BAD_FLOAT_FLAGS = {
@@ -541,9 +505,6 @@ MALFORMED_INPUTS = (
     + [pytest.param(["amen", "--family", "cyclic", "--element",
                      '[["a",1,0]]', "--kset", '[["inf",5]]'], None, None,
                     "word", id="kset-word-not-a-string")]
-    + [pytest.param(["quotients", "--config", "{tmp}/cfg.json"], "cfg.json",
-                    c, next(iter(json.loads(c))), id=f"config-{name}")
-       for name, c in CONFIGS.items()]
     + [pytest.param(["tau", "--n-max", "2"], SNAPSHOT, text,
                     "tau-congruence.json", id=f"snapshot-{name}")
        for name, text in SNAPSHOTS.items()]
@@ -555,7 +516,16 @@ MALFORMED_INPUTS = (
                     id="element-word-not-a-string"),
        # the contrast's first level is 2, so n_max 1 would compare nothing
        pytest.param(["tau", "--n-max", "1"], None, None, "n_max",
-                    id="tau-n-max-1")]
+                    id="tau-n-max-1"),
+       # a regular file where a directory to write into should be
+       pytest.param(["quotients", "--family", "fd", "--n-max", "2"],
+                    "cache", "", "quotient-fd-1.v3.npz",
+                    id="unwritable-cache"),
+       pytest.param(["quotients", "--family", "cyclic", "--n-max", "2",
+                     "--out", "{tmp}/out/r.csv"], "out", "", "r.csv",
+                    id="unwritable-out"),
+       pytest.param(["tau", "--n-max", "2"], "cache/snapshots", "",
+                    "tau-congruence.json", id="unwritable-snapshot")]
     + [pytest.param(args + ["--family", "cyclic", "--n-max", "2"], None,
                     None, named, id=f"flag-{name}")
        for name, (args, named) in BAD_FLOAT_FLAGS.items()])

@@ -635,13 +635,17 @@ def test_radial_endpoints_are_exact_bounds(radius):
 
 def test_truncation_refuses_a_norm_too_large_to_solve():
     # l1 = 5e160 is above 2^255: the ball solve on x* x would overflow
-    # into nan, so both callers refuse x before it
-    x = GroupAlgebraElement.from_pairs(
-        [("a", 1e160), ("b", 1e160), ("A", 1e160), ("B", 2e160)], 2)
-    with pytest.raises(InputError):
-        truncation_lower_bound(x, 3)
-    with pytest.raises(InputError):
-        infinity_norm_bracket(x, 3)
+    # into nan, so both callers refuse x before it; the radial path reads
+    # the same rule, so 1e160 times the generator sum and a coefficient
+    # beyond the largest float are refused too
+    for x in (GroupAlgebraElement.from_pairs(
+                  [("a", 1e160), ("b", 1e160), ("A", 1e160), ("B", 2e160)],
+                  2),
+              gen_sum().scale(1e160), gen_sum().scale(10 ** 400)):
+        with pytest.raises(InputError):
+            truncation_lower_bound(x, 3)
+        with pytest.raises(InputError):
+            infinity_norm_bracket(x, 3)
 
 
 def test_infinity_fiber_needs_a_radius(fd):
