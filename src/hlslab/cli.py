@@ -14,6 +14,7 @@ import json
 import math
 import random
 import sys
+import tempfile
 from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -47,6 +48,17 @@ def _endpoint(v: float, rounding: str) -> str:
     instead of to nearest, so the printed bracket still holds the norm.
     The rounded decimal has 12 digits, so its float prints back as it."""
     return _fmt(float(Context(prec=12, rounding=rounding).plus(Decimal(v))))
+
+
+def _check_writable(path: Path, what: str) -> None:
+    """Makes path's parent and creates a scratch file in it, so a path
+    that cannot be written is refused before any level is built; an
+    OSError becomes an InputError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=path.parent).close()
+    except OSError as e:
+        raise InputError(f"cannot write {what} {path}: {e}") from e
 
 
 def _write_text(path: Path, text: str, what: str) -> None:
@@ -143,6 +155,8 @@ def cmd_gap(config: ExperimentConfig) -> int:
                       default=GroupAlgebraElement.generator_sum(config.rank))
     if not x.is_self_adjoint(tol=1e-12):
         raise InputError("gap experiment element must be self-adjoint")
+    l1 = x.l1_norm()  # refuses a norm too large to solve
+    gpd.truncation_points(x, config.radius, config.ball_cap)
     base = _base(config)
     levels = range(1, config.n_max + 1)
     base.check_levels(levels)
@@ -166,7 +180,7 @@ def cmd_gap(config: ExperimentConfig) -> int:
         # a lower bound for the maximal norm, rounded down like level 1's
         "trivial_representation_lower": _endpoint(
             l1_of({0: x.sum_of_coefficients()})[0], ROUND_FLOOR),
-        "l1_upper": _endpoint(x.l1_norm(), ROUND_CEILING),
+        "l1_upper": _endpoint(l1, ROUND_CEILING),
         "monotone_ok": profile.monotone_ok,
         "gap_margin": config.margin,
         "gap_flagged": flagged,
@@ -264,6 +278,9 @@ def cmd_tau(config: ExperimentConfig) -> int:
     levels = list(range(2, config.n_max + 1))
     fd.check_levels(levels)
     cong.check_levels(levels)
+    write_snapshot = config.update_snapshots or not snap_path.exists()
+    if write_snapshot:
+        _check_writable(snap_path, "tau snapshot")
     for n in levels:
         fd.quotient(n)
         cong.quotient(n)
@@ -282,7 +299,7 @@ def cmd_tau(config: ExperimentConfig) -> int:
                   f"recorded {old}, computed {cv}", file=sys.stderr)
     new_values = dict(recorded)
     new_values.update({str(n): cv for n, cv in zip(levels, cong_vals)})
-    if config.update_snapshots or not snap_path.exists():
+    if write_snapshot:
         _write_text(snap_path, json.dumps(
             {"format_version": SNAPSHOT_FORMAT_VERSION, "values": new_values},
             sort_keys=True), "tau snapshot")
@@ -397,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = ExperimentConfig(**{k: v for k, v in vars(args).items()
                                      if k != "command" and v is not None})
+        if config.out:
+            _check_writable(Path(config.out), "report")
         return COMMANDS[args.command](config)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

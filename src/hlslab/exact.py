@@ -106,3 +106,15 @@ def imag_part(c):
 
 def is_exact(c) -> bool:
     return isinstance(c, (int, Fraction, RationalComplex))
+
+
+def over_common_denominator(values: dict) -> tuple[dict, object]:
+    """(values * d, d) with d the lcm of the denominators, a Fraction, so
+    every scaled value is an int, when every value is an int or a
+    Fraction; (values, 1) otherwise.  Exact sums of the scaled values are
+    then int sums, and one division by d at the end undoes the scaling."""
+    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
+        return values, 1
+    d = math.lcm(*(v.denominator for v in values.values()))
+    return ({k: v.numerator * (d // v.denominator)
+             for k, v in values.items()}, Fraction(d))

@@ -23,11 +23,12 @@ import numpy as np
 from . import spectral
 from .balls import BallIndex
 from .errors import DegenerateCertificateError, InputError, ResourceError
-from .exact import imag_part, is_exact, real_part
+from .exact import (imag_part, is_exact, over_common_denominator,
+                    real_part)
 from .quotients import DEFAULT_DEPTH_CAP, ApproximatedGroup, FiniteQuotient
 from .spectral import ROUNDING_ULPS, NormBracket, singular_value_bracket
 from .words import (DEFAULT_BALL_CAP, GroupAlgebraElement, Word,
-                    adjoint_coeffs, convolve_coeffs, l1_of)
+                    adjoint_coeffs, ball_size, convolve_coeffs, l1_of)
 
 INFINITY = "inf"
 TRUNCATION_TOL_REL = 1e-9  # the ball solve's requested relative width
@@ -211,7 +212,7 @@ def _radial_scale(x: GroupAlgebraElement) -> float | None:
     return c.real if c.imag == 0 and c.real > 0 else None
 
 
-def _radial_lower(c: float, rank: int, radius: int, ball_cap: int) -> float:
+def _radial_lower(c: float, rank: int, radius: int) -> float:
     """Lower bound for the norm of the compression of c * (generator sum)
     to the ball of the given radius, from its exact radial reduction.
 
@@ -226,11 +227,6 @@ def _radial_lower(c: float, rank: int, radius: int, ball_cap: int) -> float:
     phi (that of the lifted radial vector on M) is a lower bound; it is
     moved down by ROUNDING_ULPS ulps of max(value, 1).
     """
-    if radius + 1 > ball_cap:
-        raise ResourceError(
-            f"the radial reduction of ball({radius}, {rank}) has "
-            f"{radius + 1} points, exceeding the configured element cap "
-            f"{ball_cap}")
     if radius == 0:
         return 0.0
     k2 = 2 * rank
@@ -260,6 +256,25 @@ def _radial_lower(c: float, rank: int, radius: int, ball_cap: int) -> float:
     return max(rayleigh - ulps * max(rayleigh, 1.0), 0.0)
 
 
+def truncation_points(x: GroupAlgebraElement, radius: int,
+                      ball_cap: int = DEFAULT_BALL_CAP) -> int:
+    """The points the truncation of x to the ball of the given radius
+    stores: none for an empty x, radius + 1 on the radial path
+    (_radial_scale), the ball's words otherwise.  Raises ResourceError
+    when they exceed ball_cap, so a caller can refuse the truncation
+    before any other work."""
+    if not x.coeffs:
+        return 0
+    radial = _radial_scale(x) is not None
+    points = radius + 1 if radial else ball_size(radius, x.rank)
+    if points > ball_cap:
+        raise ResourceError(
+            f"the {'radial reduction' if radial else 'solve'} on "
+            f"ball({radius}, {x.rank}) stores {points} points, exceeding "
+            f"the configured element cap {ball_cap}")
+    return points
+
+
 def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
                            ball_cap: int = DEFAULT_BALL_CAP
                            ) -> tuple[float, bool]:
@@ -268,16 +283,17 @@ def truncation_lower_bound(x: GroupAlgebraElement, radius: int,
     bound for the reduced free-group norm.  An empty x gives (0.0, True);
     a positive multiple of the generator sum in rank >= 2 takes the radial
     reduction; anything else takes Lanczos on the ball.  The cap bounds
-    the points the chosen path stores.  The l1 norm is read first, so
-    one rule refuses a norm too large to solve on both paths.  An
-    unconverged solve yields its Rayleigh lower bound, still certified,
-    with converged False."""
+    the points the chosen path stores (truncation_points).  The l1 norm
+    is read first, so one rule refuses a norm too large to solve on both
+    paths.  An unconverged solve yields its Rayleigh lower bound, still
+    certified, with converged False."""
     if not x.coeffs:
         return 0.0, True
     l1 = x.l1_norm()
+    truncation_points(x, radius, ball_cap)
     c = _radial_scale(x)
     if c is not None:
-        return _radial_lower(c, x.rank, radius, ball_cap), True
+        return _radial_lower(c, x.rank, radius), True
     bi = BallIndex(x.rank, radius, cap=ball_cap)
     dtype = _fiber_dtype(x.coeffs)
     x_star = x.adjoint()
@@ -469,12 +485,15 @@ class CertificateReport:
 def defects(coeffs: dict, g, multiply, inverse) -> tuple:
     """Normalization defect |sum_h eta(h) - 1| and translation defect
     sum_h |eta(h) - eta(h g)| of one fiber's coefficients.  An h outside
-    the support S counts only as h = s g^-1 with s in S, adding |eta(s)|."""
+    the support S counts only as h = s g^-1 with s in S, adding |eta(s)|.
+    Rational coefficients are summed as integer numerators over their
+    common denominator d (over_common_denominator), divided once."""
+    eta, d = over_common_denominator(coeffs)
     g_inv = inverse(g)
-    translation = sum(abs(c - coeffs.get(multiply(h, g), 0))
-                      + (0 if multiply(h, g_inv) in coeffs else abs(c))
-                      for h, c in coeffs.items())
-    return abs(sum(coeffs.values()) - 1), translation
+    translation = sum(abs(c - eta.get(multiply(h, g), 0))
+                      + (0 if multiply(h, g_inv) in eta else abs(c))
+                      for h, c in eta.items())
+    return abs(sum(eta.values()) - d) / d, translation / d
 
 
 def check_certificate(cert: AmenabilityCertificate) -> CertificateReport:

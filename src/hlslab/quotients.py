@@ -121,10 +121,19 @@ class FiniteQuotient:
 
     def pushforward(self, x: GroupAlgebraElement) -> dict[int, object]:
         """Pushforward of a group algebra element: sums coefficients over
-        preimage classes."""
+        preimage classes.  The support is evaluated in length order, so a
+        word whose parent (the word less its last letter) is in the
+        support is one table step from the parent's image, and a
+        prefix-closed support such as a ball or a Folner window costs one
+        step per word; any other word is evaluated letter by letter."""
+        image: dict[bytes, int] = {}
+        for w in sorted(x.coeffs, key=len):
+            parent = image.get(w.letters[:-1]) if w.letters else None
+            image[w.letters] = (self.evaluate(w) if parent is None else
+                                self.table.item(parent, w.letters[-1]))
         out: dict[int, object] = {}
         for w, c in x.coeffs.items():
-            i = self.evaluate(w)
+            i = image[w.letters]
             out[i] = out.get(i, 0) + c
         return {i: c for i, c in out.items() if c}
 

@@ -6,7 +6,8 @@ inverts c.  Written out, code c is the c-th character of "aAbBcCdDfF...zZ"
 (a capital letter denotes an inverse; "e" is the identity, not a letter,
 so the rank is at most 25), and the numeric order of the codes is the
 normative order a < A < b < B < ... used for shortlex enumeration and
-serialization.
+serialization.  A Word stores its letters as bytes, one code per byte,
+so parsing, inversion and spelling are each one bytes.translate.
 """
 
 from __future__ import annotations
@@ -27,6 +28,25 @@ _LETTERS = "".join(c + c.upper() for c in "abcdfghijklmnopqrstuvwxyz")
 MAX_RANK = len(_LETTERS) // 2
 
 
+def _code_table(rank: int) -> bytes:
+    """bytes.translate table: the character of code c < 2 * rank -> c, any
+    other character -> 255."""
+    table = bytearray(b"\xff" * 256)
+    for c, char in enumerate(_LETTERS[:2 * rank]):
+        table[ord(char)] = c
+    return bytes(table)
+
+
+# bytes.translate tables: code -> its character, code -> its inverse, and
+# per rank, character -> code
+_SPELL = bytes.maketrans(bytes(range(len(_LETTERS))), _LETTERS.encode())
+_INVERT = bytes(c ^ 1 for c in range(256))
+_CODES = {rank: _code_table(rank) for rank in range(1, MAX_RANK + 1)}
+# a letter next to its inverse, as written: "aA", "Aa", "bB", ...
+_CANCELLING = tuple(_LETTERS[c] + _LETTERS[c ^ 1]
+                    for c in range(len(_LETTERS)))
+
+
 def check_letters(letters: Iterable[int], rank: int) -> None:
     if not (type(rank) is int and 1 <= rank <= MAX_RANK):
         raise InputError(f"rank must be an integer in 1..{MAX_RANK}, "
@@ -36,31 +56,38 @@ def check_letters(letters: Iterable[int], rank: int) -> None:
             raise InputError(f"invalid letter code {l!r} for rank {rank}")
 
 
-def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
+def free_reduce(letters: Iterable[int]) -> bytes:
     out: list[int] = []
     for l in letters:
         if out and out[-1] == l ^ 1:
             out.pop()
         else:
             out.append(l)
-    return tuple(out)
+    return bytes(out)
 
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word; the empty tuple is the identity."""
+    """A freely reduced word: its letter codes as bytes (any iterable of
+    codes is accepted and stored as bytes); b"" is the identity."""
 
-    letters: tuple[int, ...]
+    letters: bytes
     rank: int = 2
 
     def __post_init__(self):
         check_letters(self.letters, self.rank)
-        for x, y in zip(self.letters, self.letters[1:]):
+        letters = bytes(self.letters)
+        for x, y in zip(letters, letters[1:]):
             if x == y ^ 1:
-                raise InputError(f"word {self.letters} is not freely reduced")
+                raise InputError(f"word {tuple(letters)} is not freely "
+                                 "reduced")
+        object.__setattr__(self, "letters", letters)
+
+    def __hash__(self) -> int:
+        return hash(self.letters)  # cached by the bytes object
 
     @classmethod
-    def _unchecked(cls, letters: tuple[int, ...], rank: int) -> "Word":
+    def _unchecked(cls, letters: bytes, rank: int) -> "Word":
         """A Word from letters already known to be valid and reduced."""
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
@@ -91,15 +118,20 @@ class Word:
         return Word._unchecked(a[:len(a) - cut] + b[cut:], self.rank)
 
     def inverse(self) -> "Word":
-        return Word._unchecked(tuple(l ^ 1 for l in reversed(self.letters)),
+        return Word._unchecked(self.letters[::-1].translate(_INVERT),
                                self.rank)
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inverse()
-        out = Word.identity(self.rank)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        """w^n = u v^n u^-1, where w = u v u^-1 with v cyclically reduced,
+        so v^n and the whole power are reduced as concatenated."""
+        if n == 0:
+            return Word.identity(self.rank)
+        a = (self if n > 0 else self.inverse()).letters
+        k = 0
+        while 2 * k + 1 < len(a) and a[k] == a[-1 - k] ^ 1:
+            k += 1
+        return Word._unchecked(
+            a[:k] + a[k:len(a) - k] * abs(n) + a[len(a) - k:], self.rank)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -108,24 +140,26 @@ class Word:
         return (len(self.letters), self.letters)
 
     def __str__(self) -> str:
-        return "".join(_LETTERS[l] for l in self.letters) or "e"
+        return self.letters.translate(_SPELL).decode("ascii") or "e"
 
     @staticmethod
     def parse(s: str, rank: int = 2) -> "Word":
+        """The reduced word spelled by s; free_reduce runs only when s
+        writes a letter next to its inverse."""
         if not isinstance(s, str):
             raise InputError(f"a word must be a string, not {s!r}")
         check_letters((), rank)
         s = s.strip()
         if s in ("", "e"):
             return Word.identity(rank)
-        codes = {c: l for l, c in enumerate(_LETTERS[:2 * rank])}
-        try:
-            letters = [codes[c] for c in s]
-        except KeyError:
-            bad = next(c for c in s if c not in codes)
-            raise InputError(
-                f"letter {bad!r} not valid for rank {rank}") from None
-        return Word._unchecked(free_reduce(letters), rank)
+        # "replace" writes each non-ASCII character as one "?", no letter
+        letters = s.encode("ascii", "replace").translate(_CODES[rank])
+        bad = letters.find(255)
+        if bad >= 0:
+            raise InputError(f"letter {s[bad]!r} not valid for rank {rank}")
+        if any(pair in s for pair in _CANCELLING[:2 * rank]):
+            letters = free_reduce(letters)
+        return Word._unchecked(letters, rank)
 
 
 def ball_size(radius: int, rank: int) -> int:
@@ -147,14 +181,14 @@ def ball(radius: int, rank: int = 2, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
             f"ball({radius}, {rank}) has {size} words, exceeding the "
             f"configured element cap {cap}")
     words = [Word.identity(rank)]
-    frontier = [()]
+    frontier = [b""]
     for _ in range(radius):
         nxt = []
         for w in frontier:
             for l in range(2 * rank):
                 if w and w[-1] == l ^ 1:
                     continue
-                nxt.append(w + (l,))
+                nxt.append(w + bytes((l,)))
         words.extend(Word(w, rank) for w in nxt)
         frontier = nxt
     return words
@@ -234,9 +268,9 @@ def l1_of(a: dict) -> tuple[float, float]:
         else:
             c_lo = c_hi = abs(Fraction(real_part(c)))
         lo, hi = lo + c_lo, hi + c_hi
-    if hi > L1_LIMIT:
-        raise InputError(f"l1 norm {float(hi):.3e} is above 2^255, so a "
-                         "solve on x* x would overflow a float")
+    if hi > L1_LIMIT:  # hi may be beyond the largest float: no float(hi)
+        raise InputError("l1 norm above 2^255, so a solve on x* x would "
+                         "overflow a float")
     return _outward(lo, hi)
 
 

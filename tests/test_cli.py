@@ -295,13 +295,37 @@ def test_gap_radial_truncation_past_the_ball_cap(cache, tmp_path):
     assert results["infinity_converged"] == "true"
 
 
+def built_levels(directory):
+    """The quotient cache files anywhere under directory."""
+    return sorted(Path(directory).rglob("quotient-*.npz"))
+
+
+SIGNED_SIX = ('[["a",1,0],["A",1,0],["b",-1,0],["B",-1,0],["ab",1,0],'
+              '["BA",1,0]]')
+
+
 @pytest.mark.parametrize("extra", [
     ["--element", element_json([("a", 1), ("A", 1), ("b", 2), ("B", 2)], 2)],
+    ["--element", SIGNED_SIX],
     ["--ball-cap", "10"],
-], ids=["non-radial", "radial-over-cap"])
+], ids=["non-radial", "signed-six-term", "radial-over-cap"])
 def test_gap_ball_cap_counts_stored_points(cache, extra):
-    assert run(["gap", "--family", "fd", "--n-max", "2", "--radius", "14"]
+    # ball(14, 2) has 9,565,937 words; the refusal comes before any level
+    assert run(["gap", "--family", "fd", "--n-max", "3", "--radius", "14"]
                + extra, cache) == 3
+    assert built_levels(cache) == []
+
+
+def test_gap_over_the_ball_cap_exits_3_before_any_level(cache):
+    done = subprocess.run(
+        [sys.executable, "-m", "hlslab.cli", "gap", "--family", "fd",
+         "--n-max", "3", "--radius", "14", "--element", SIGNED_SIX,
+         "--cache-dir", cache], env=src_env(), capture_output=True,
+        text=True)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("resource error") and "ball(14, 2)" in \
+        done.stderr and "Traceback" not in done.stderr
+    assert built_levels(cache) == []
 
 
 def test_gap_rejects_non_self_adjoint(cache):
@@ -524,6 +548,11 @@ MALFORMED_INPUTS = (
        pytest.param(["quotients", "--family", "cyclic", "--n-max", "2",
                      "--out", "{tmp}/out/r.csv"], "out", "", "r.csv",
                     id="unwritable-out"),
+       pytest.param(["gap", "--family", "fd", "--n-max", "4", "--radius",
+                     "4", "--out", "{tmp}/out/r.csv"], "out", "", "r.csv",
+                    id="unwritable-gap-out"),
+       pytest.param(["tau", "--n-max", "3", "--out", "{tmp}/out/r.csv"],
+                    "out", "", "r.csv", id="unwritable-tau-out"),
        pytest.param(["tau", "--n-max", "2"], "cache/snapshots", "",
                     "tau-congruence.json", id="unwritable-snapshot")]
     + [pytest.param(args + ["--family", "cyclic", "--n-max", "2"], None,
@@ -546,6 +575,7 @@ def test_malformed_inputs_are_input_errors(tmp_path, capsys, args, path,
     assert main(stage(tmp_path, args, path, text)) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and named in err, err
+    assert built_levels(tmp_path) == []  # refused before any level
 
 
 def src_env():
@@ -564,6 +594,7 @@ def test_malformed_inputs_exit_2_without_a_traceback(tmp_path, args, path,
         env=src_env(), capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
+    assert built_levels(tmp_path) == []
 
 
 def test_reports_byte_identical_across_runs(cache, tmp_path):

@@ -9,6 +9,7 @@ the tool reports; regenerate the files with `python tests/test_golden.py`
 only when that change is intended.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -21,6 +22,13 @@ GOLDEN = Path(__file__).parent / "golden"
 FD_ELEMENT = '[["e","1/3",0],["a","1/3",0],["b","1/3",0]]'
 CYCLIC_ELEMENT = ('[["e","1/4",0],["a","1/4",0],["aa","1/4",0],'
                   '["aaa","1/4",0]]')
+# the uniform Folner window a^0 .. a^511 and a K set of powers of a, at
+# infinity, on levels where the window wraps evenly (3, 6) and on level
+# 10, where it does not
+WINDOW = json.dumps([["a" * j or "e", "1/512", "0"] for j in range(512)])
+WINDOW_KSET = json.dumps([[level, ("a" if k > 0 else "A") * abs(k)]
+                          for level, k in (("inf", 5), ("inf", -13), (3, 7),
+                                           (6, -16), (10, 3))])
 
 # name -> (argv, exit code)
 REPORTS = {
@@ -42,6 +50,9 @@ REPORTS = {
          "--kset",
          '[["inf","a"],[2,"a"],[3,"AAA"],[5,"aaaaaaa"],[6,"AAAAA"]]',
          "--epsilon", "0.9"], 1),
+    "amen-cyclic-window-512": (
+        ["amen", "--family", "cyclic", "--element", WINDOW, "--kset",
+         WINDOW_KSET, "--epsilon", "0.1"], 0),
     "gap-fd-4-radius-11": (
         ["gap", "--family", "fd", "--n-max", "4", "--radius", "11",
          "--infinity-ceiling", "3.4641016151377544"], 0),

@@ -23,7 +23,7 @@ from hlslab.groupoid import (INFINITY, AmenabilityCertificate, FiberedFunction,
                              markov_element, norm_profile,
                              rho_norm, standard_lift,
                              tau_spectral_gap, truncation_lower_bound,
-                             _radial_lower)
+                             truncation_points, _radial_lower)
 from hlslab.words import GroupAlgebraElement, Word, ball
 
 from dense_oracle import rho_dense
@@ -612,7 +612,7 @@ def test_radial_truncation_radius_12():
 def test_radial_truncation_rounds_below_the_norm():
     # 3.37609191200161451789... by mpmath at 40 digits; the Rayleigh
     # quotient alone rounds to 3.376091912001615
-    lower = _radial_lower(1.0, 2, 11, 5_000_000)
+    lower = _radial_lower(1.0, 2, 11)
     assert lower <= 3.3760919120016145
     assert lower == pytest.approx(3.3760919120016145, abs=1e-12)
 
@@ -629,7 +629,7 @@ def test_radial_endpoints_are_exact_bounds(radius):
             below += d < 0
         return below
 
-    assert eigenvalues_below(_radial_lower(1.0, 2, radius, 5_000_000)) \
+    assert eigenvalues_below(_radial_lower(1.0, 2, radius)) \
         < radius + 1
 
 
@@ -658,9 +658,16 @@ def test_infinity_fiber_needs_a_radius(fd):
 
 def test_radial_truncation_checks_its_cap():
     # r + 1 points are stored, not the ball's words
+    assert truncation_points(gen_sum(), 14, 15) == 15
     assert truncation_lower_bound(gen_sum(), 14, 15)[0] > 3.4
     with pytest.raises(ResourceError):
         truncation_lower_bound(gen_sum(), 14, 14)
+    x = GroupAlgebraElement.from_pairs([("a", 1), ("A", 1), ("b", -1),
+                                        ("B", -1)], 2)
+    assert truncation_points(x, 3, 53) == 53  # ball(3, 2)
+    assert truncation_points(GroupAlgebraElement.zero(2), 30, 0) == 0
+    with pytest.raises(ResourceError):
+        truncation_lower_bound(x, 3, 52)
 
 
 def test_generator_sum_builds_no_ball(balls_built):
@@ -926,6 +933,50 @@ def test_translation_defect_matches_the_set_sum(fd, cyclic, fiber, g,
         max_size=8))
     assert defects(coeffs, g, *group)[1] == \
         set_translation_defect(coeffs, g, *group)
+
+
+def plain_defects(coeffs, g, multiply, inverse):
+    """The two defects summed in the coefficients' own arithmetic."""
+    g_inv = inverse(g)
+    translation = sum(abs(c - coeffs.get(multiply(h, g), 0))
+                      + (0 if multiply(h, g_inv) in coeffs else abs(c))
+                      for h, c in coeffs.items())
+    return abs(sum(coeffs.values()) - 1), translation
+
+
+@pytest.mark.parametrize("fiber", ["inf-2", "inf-1", "fd-3", "cyclic-4"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_defects_equal_the_plain_formula(fd, cyclic, fiber, data):
+    # exact for rational eta (ints mixed with Fractions, signed, zero-sum
+    # or not), and today's float and complex arithmetic bit for bit
+    name, level = fiber.split("-")
+    if name == "inf":
+        keys = st.sampled_from(ball(3, int(level)))
+        group = (Word.__mul__, Word.inverse)
+    else:
+        q = (fd if name == "fd" else cyclic).quotient(int(level))
+        keys = st.integers(0, q.order - 1)
+        group = (q.multiply, q.invert_element)
+    values = st.one_of(st.integers(-5, 5),
+                       st.fractions(-3, 3, max_denominator=60))
+    eta = data.draw(st.dictionaries(keys, values, max_size=10))
+    if eta and data.draw(st.booleans()):  # zero-sum
+        first = next(iter(eta))
+        eta[first] -= sum(eta.values())
+    g = data.draw(keys)
+    got = defects(eta, g, *group)
+    assert got == plain_defects(eta, g, *group)
+    assert all(type(v) in (int, Fraction) for v in got)
+    if not eta:  # no float or complex coefficient to test
+        return
+    for other in ({h: float(c) for h, c in eta.items()},
+                  {h: complex(c, 1) for h, c in eta.items()},
+                  {h: RationalComplex(Fraction(c), Fraction(1, 3))
+                   for h, c in eta.items()}):
+        got, want = defects(other, g, *group), plain_defects(other, g, *group)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_certificate_rejects_out_of_range(cyclic):

@@ -16,7 +16,7 @@ from hlslab.errors import InputError, ResourceError
 from hlslab.perms import bfs_order, bfs_tree, schreier_sims_order
 from hlslab.quotients import (ApproximatedGroup, FiniteQuotient,
                               enumerate_kernel_reps, kernel_refines)
-from hlslab.words import Word, ball
+from hlslab.words import GroupAlgebraElement, Word, ball
 
 
 def cyclic_perm(m, shift):
@@ -242,6 +242,75 @@ def test_evaluate_homomorphism_property(fd):
         u, v = rng.choice(words), rng.choice(words)
         assert q.evaluate(u * v) == q.multiply(q.evaluate(u), q.evaluate(v))
         assert q.evaluate(u.inverse()) == q.invert_element(q.evaluate(u))
+
+
+def pushforward_by_words(q, x):
+    """The pushforward with every word evaluated letter by letter."""
+    out = {}
+    for w, c in x.coeffs.items():
+        i = q.evaluate(w)
+        out[i] = out.get(i, 0) + c
+    return {i: c for i, c in out.items() if c}
+
+
+def prefix_closed(rank, kind, size):
+    """A ball of radius size, or the window a^0 .. a^(size - 1), or its
+    mirror A^0 .. A^(1 - size) followed by the words b a^j (rank 2)."""
+    if kind == "ball":
+        return ball(size, rank)
+    a, A = Word.parse("a", rank), Word.parse("A", rank)
+    words = [a ** j for j in range(size)] + [A ** j for j in range(1, size)]
+    if rank == 2:
+        words += [Word.parse("b", 2) * a ** j for j in range(size)]
+    return words
+
+
+@pytest.mark.parametrize("family,n", [("fd", 3), ("fd", 4),
+                                      ("congruence", 5), ("cyclic", 6)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pushforward_is_the_sum_of_word_evaluations(request, family, n,
+                                                    data):
+    base = request.getfixturevalue(family)
+    q, rank = base.quotient(n), base.rank
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.fractions(-2, 2, max_denominator=6))
+    if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(["ball", "window"]))
+        size = data.draw(st.integers(0, 3 if kind == "ball" else 12))
+        words = prefix_closed(rank, kind, size)
+        if data.draw(st.booleans()):  # not prefix-closed any more
+            words = data.draw(st.permutations(words))[:len(words) // 2]
+    else:
+        letters = st.lists(st.integers(0, 2 * rank - 1), max_size=20)
+        words = data.draw(st.lists(letters.map(
+            lambda ls: Word.reduce(ls, rank)), max_size=30))
+    x = GroupAlgebraElement.from_pairs(
+        [(w, data.draw(coeff)) for w in words], rank)
+    want = pushforward_by_words(q, x)
+    got = q.pushforward(x)
+    assert list(got.items()) == list(want.items())  # in the same order
+
+
+def test_pushforward_steps_from_parents(fd, cyclic, monkeypatch):
+    # on a prefix-closed support only the identity is evaluated; a word
+    # whose parent is missing is evaluated whole
+    seen = []
+    evaluate = FiniteQuotient.evaluate
+
+    def recording(self, w):
+        seen.append(str(w))
+        return evaluate(self, w)
+
+    monkeypatch.setattr(FiniteQuotient, "evaluate", recording)
+    fd.quotient(3).pushforward(GroupAlgebraElement.from_pairs(
+        [(w, 1) for w in ball(4, 2)], 2))
+    cyclic.quotient(5).pushforward(GroupAlgebraElement.from_pairs(
+        [(Word.parse("a", 1) ** j, 1) for j in range(512)], 1))
+    assert seen == ["e", "e"]
+    fd.quotient(3).pushforward(GroupAlgebraElement.from_pairs(
+        [("abab", 1), ("aba", 1), ("ba", 1), ("bab", 1), ("BB", 1)], 2))
+    assert seen[2:] == ["ba", "BB", "aba"]
 
 
 # -- separation ---------------------------------------------------------------

@@ -100,6 +100,56 @@ def test_parse_reads_what_str_writes(u):
     assert Word.parse(str(u), u.rank) == u
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(reduced_words), st.integers(-6, 6))
+def test_power_is_the_repeated_product(u, n):
+    want = Word.identity(u.rank)
+    for _ in range(abs(n)):
+        want = want * (u if n > 0 else u.inverse())
+    got = u ** n
+    assert got == want and got.letters == want.letters
+
+
+SPELLING = "aAbBcC"
+# characters that are no letter of rank 3 or below, written or not
+NON_LETTERS = "e dDx1?\t\u00e9\u2603"
+
+
+@st.composite
+def spellings(draw):
+    """(rank, string): letters of the rank, often beside their inverses,
+    some non-letters, and whitespace around them."""
+    rank = draw(st.integers(1, 3))
+    letters = SPELLING[:2 * rank]
+    pairs = [letters[c] + letters[c ^ 1] for c in range(2 * rank)]
+    chunk = st.one_of(st.sampled_from(letters), st.sampled_from(pairs),
+                      st.sampled_from(NON_LETTERS))
+    body = "".join(draw(st.lists(chunk, max_size=16)))
+    if draw(st.booleans()):
+        body = draw(st.sampled_from(["", "e"]))
+    pad = st.sampled_from(["", " ", "\t", "\n  "])
+    return rank, draw(pad) + body + draw(pad)
+
+
+@settings(max_examples=300)
+@given(spellings())
+def test_parse_reduces_the_codes_and_names_the_first_bad_letter(case):
+    rank, s = case
+    letters = SPELLING[:2 * rank]
+    body = s.strip()
+    bad = next((c for c in body if c not in letters), None)
+    if body in ("", "e"):
+        assert Word.parse(s, rank) == Word.identity(rank)
+    elif bad is not None:
+        with pytest.raises(InputError) as err:
+            Word.parse(s, rank)
+        assert str(err.value) == f"letter {bad!r} not valid for rank {rank}"
+    else:
+        got = Word.parse(s, rank)
+        want = Word.reduce([letters.index(c) for c in body], rank)
+        assert got == want and type(got.letters) is bytes
+
+
 def test_rank_is_1_to_25_and_e_is_no_letter():
     # "e" spells the identity, so the fifth generator is "f"
     assert str(Word((8, 7), 5)) == "fD" and Word.parse("fD", 5) == Word(
