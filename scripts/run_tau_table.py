@@ -23,7 +23,7 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     ap.add_argument("--update-snapshots", action="store_true")
     args = ap.parse_args()
-    argv = ["tau", "--family", "fd", "--n-max", str(args.n_max)]
+    argv = ["tau", "--n-max", str(args.n_max)]
     if args.out:
         argv += ["--out", args.out]
     if args.update_snapshots:

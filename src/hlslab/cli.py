@@ -153,8 +153,6 @@ def _gap_row(level, order, bracket):
 def cmd_gap(config: ExperimentConfig) -> int:
     x = _load_element(config,
                       default=GroupAlgebraElement.generator_sum(config.rank))
-    if not x.is_self_adjoint(tol=1e-12):
-        raise InputError("gap experiment element must be self-adjoint")
     l1 = x.l1_norm()  # refuses a norm too large to solve
     gpd.truncation_points(x, config.radius, config.ball_cap)
     base = _base(config)
@@ -164,7 +162,7 @@ def cmd_gap(config: ExperimentConfig) -> int:
         base.quotient(n)
     profile = gpd.norm_profile(gpd.FiberedFunction(base, x), config.n_max,
                                config.radius, config.ball_cap)
-    ceiling, flagged = profile.gap(config.margin, config.infinity_ceiling)
+    ceiling, flagged = profile.gap(config.infinity_ceiling)
     rows = [_gap_row(r.level, r.order, r.bracket) for r in profile.rows]
     rows.append(_gap_row("inf", "inf", profile.infinity))
     fields = ["level", "order", "lower", "upper", "provenance", "converged"]
@@ -182,7 +180,6 @@ def cmd_gap(config: ExperimentConfig) -> int:
             l1_of({0: x.sum_of_coefficients()})[0], ROUND_FLOOR),
         "l1_upper": _endpoint(l1, ROUND_CEILING),
         "monotone_ok": profile.monotone_ok,
-        "gap_margin": config.margin,
         "gap_flagged": flagged,
     }
     _write_report(config, "gap", fields, rows, summary)
@@ -217,8 +214,9 @@ def _parse_kset(config: ExperimentConfig) -> list:
 def cmd_amen(config: ExperimentConfig) -> int:
     xi = _load_element(config)
     kset = _parse_kset(config)
-    cert = gpd.certificate_from_folner(xi, _base(config), kset,
-                                       config.epsilon)
+    base = _base(config)
+    base.check_levels(n for n, _ in kset if n != gpd.INFINITY)
+    cert = gpd.certificate_from_folner(xi, base, kset, config.epsilon)
     gpd.folner_from_certificate(cert)  # rejects degenerate certificates
     report = gpd.check_certificate(cert)
     rows = []
@@ -275,7 +273,7 @@ def cmd_tau(config: ExperimentConfig) -> int:
         recorded = _read_snapshot(snap_path)
     fd, cong = (_base(replace(config, family=f))
                 for f in ("fd", "congruence"))
-    levels = list(range(2, config.n_max + 1))
+    levels = range(2, config.n_max + 1)
     fd.check_levels(levels)
     cong.check_levels(levels)
     write_snapshot = config.update_snapshots or not snap_path.exists()
@@ -369,7 +367,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="deepest quotient level")
     p.add_argument("--radius", type=int,
                    help="truncation / separation radius")
-    p.add_argument("--margin", type=float, help="gap flag margin")
     p.add_argument("--cache-dir", dest="cache_dir",
                    help="quotient cache directory (env HLSLAB_CACHE)")
     p.add_argument("--out", help="write the CSV report here (default stdout)")

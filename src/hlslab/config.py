@@ -31,7 +31,6 @@ class ExperimentConfig:
     family: str = "fd"
     n_max: int = 4
     radius: int = 12
-    margin: float = 0.25
     epsilon: float = 0.05
     fiber_cap: int = DEFAULT_FIBER_CAP
     ball_cap: int = DEFAULT_BALL_CAP
@@ -54,14 +53,11 @@ class ExperimentConfig:
         if self.radius < 0:
             raise InputError("radius must be nonnegative")
         # every comparison with nan is false: refuse it, and inf, here
-        for name in ("margin", "epsilon", "infinity_ceiling"):
+        for name in ("epsilon", "infinity_ceiling"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise InputError(f"{name} must be finite, not {v}")
-        # a gap flagged at margin <= 0, or under a negative ceiling on a
-        # norm, certifies nothing
-        if self.margin <= 0:
-            raise InputError(f"margin must be positive, not {self.margin}")
+        # a negative ceiling on a norm certifies nothing
         if self.infinity_ceiling is not None and self.infinity_ceiling < 0:
             raise InputError(f"infinity_ceiling must be nonnegative, not "
                              f"{self.infinity_ceiling}")

@@ -9,7 +9,7 @@ False.
 
 class InputError(ValueError):
     """Malformed or out-of-contract input (bad generator index, rank
-    mismatch, non-self-adjoint element where one is required, ...)."""
+    mismatch, ...)."""
 
 
 class ResourceError(RuntimeError):

@@ -364,16 +364,16 @@ class NormProfile:
                    >= a.bracket.lower
                    for a, b in zip(self.rows, self.rows[1:]))
 
-    def gap(self, margin: float, ceiling: float | None = None
-            ) -> tuple[float, bool]:
+    def gap(self, ceiling: float | None = None) -> tuple[float, bool]:
         """(ceiling used, flagged): the infinity upper endpoint, sharpened
         by an externally supplied analytic ceiling when one is given, and
-        whether the certified finite sup exceeds it by at least the
-        margin.  No analytic constant is built in."""
+        whether the certified finite sup lies strictly above it, which
+        proves that some finite fiber's norm exceeds the infinity fiber's.
+        No analytic constant is built in."""
         used = self.infinity.upper
         if ceiling is not None:
             used = min(used, ceiling)
-        return used, bool(self.sup_finite.lower >= used + margin)
+        return used, bool(self.sup_finite.lower > used)
 
 
 def norm_profile(f: FiberedFunction, n_max: int, radius: int,

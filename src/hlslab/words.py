@@ -352,21 +352,6 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(
             self.rank, adjoint_coeffs(self.coeffs, Word.inverse))
 
-    def is_self_adjoint(self, tol: float = 0.0) -> bool:
-        """Whether every coefficient of x - x* is at most tol times the
-        largest |coefficient| of x, so the answer does not depend on the
-        scale of x."""
-        adj = self.adjoint()
-        keys = set(self.coeffs) | set(adj.coeffs)
-        slack = tol * max((abs(complex(c)) for c in self.coeffs.values()),
-                          default=0.0)
-        for w in keys:
-            a = complex(self.coeffs.get(w, 0))
-            b = complex(adj.coeffs.get(w, 0))
-            if abs(a - b) > slack:
-                return False
-        return True
-
     def sum_of_coefficients(self):
         return sum(self.coeffs.values())
 

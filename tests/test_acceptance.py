@@ -193,7 +193,7 @@ def test_criterion_5_gap_experiment(fd):
     sqrt7_ok = abs(truncs[0] - math.sqrt(7)) < 1e-9
     ceiling_ok = all(t <= KESTEN_4_REGULAR + 1e-6 for t in truncs)
     profile = norm_profile(FiberedFunction(fd, x), 3, radius=6)
-    _, flagged = profile.gap(0.25, KESTEN_4_REGULAR)
+    _, flagged = profile.gap(KESTEN_4_REGULAR)
     sup_ok = (abs(profile.sup_finite.lower - 4.0) < 1e-8
               and abs(profile.sup_finite.upper - 4.0) < 1e-8)
     elapsed = time.monotonic() - t0
@@ -214,7 +214,7 @@ def test_criterion_6_amenable_control(cyclic):
     sup_ok = abs(profile.sup_finite.lower - 2.0) < 1e-6
     inf_ok = (abs(profile.infinity.lower - 2.0) < 1e-6
               and abs(profile.infinity.upper - 2.0) < 1e-6)
-    ok = sup_ok and inf_ok and not profile.gap(0.25)[1]
+    ok = sup_ok and inf_ok and not profile.gap()[1]
     report("criterion 6: cyclic control: finite sup and infinity bracket "
            "both 2 within 1e-6, NO GAP",
            ok, f"sup={profile.sup_finite.lower:.8f} "

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 import hlslab
+from hlslab import cli
 from hlslab.cli import main
+from hlslab.config import ExperimentConfig
 from hlslab.words import GroupAlgebraElement, Word, ball
 
 from dense_oracle import rho_dense
@@ -84,12 +88,37 @@ def test_quotients_separation_is_not_capped(cache, tmp_path, balls_built):
 
 def test_neither_timings_nor_config_is_a_flag(cache):
     # a run is timed by perfbench/traced_cli.py, which leaves the report
-    # as it is, and flags are the one way to set a run
-    for flag in (["--timings"], ["--config", "cfg.json"]):
+    # as it is, flags are the one way to set a run, and a gap is flagged
+    # from the certified brackets alone
+    for flag in (["--timings"], ["--config", "cfg.json"],
+                 ["--margin", "0.25"]):
         with pytest.raises(SystemExit) as exc:
             run(["quotients", "--family", "cyclic", "--n-max", "3", *flag],
                 cache)
         assert exc.value.code == 2
+
+
+def test_flags_are_the_config_fields(monkeypatch, capsys):
+    # each subcommand has one flag per ExperimentConfig field, named after
+    # it, and no other, so no field is left that a run cannot set
+    parsers = []
+    add_common = cli._add_common
+
+    def recording(p):
+        add_common(p)
+        parsers.append(p)
+
+    monkeypatch.setattr(cli, "_add_common", recording)
+    with pytest.raises(SystemExit):
+        main(["quotients", "--help"])
+    assert len(parsers) == len(cli.COMMANDS)
+    names = sorted(f.name for f in fields(ExperimentConfig))
+    for p in parsers:
+        flags = {a.dest: a.option_strings for a in p._actions
+                 if a.dest != "help"}
+        assert sorted(flags) == names, p.prog
+        assert all(opts == ["--" + dest.replace("_", "-")]
+                   for dest, opts in flags.items()), p.prog
 
 
 def test_quotients_resource_error(cache):
@@ -98,16 +127,38 @@ def test_quotients_resource_error(cache):
     assert os.listdir(cache) == []
 
 
+# a K set whose last finite level is over a cap: fd 7 over the default
+# homomorphism enumeration cap 6, congruence 9 (order 2^23) over 100,000
+AMEN_OVER_CAP = {
+    "fd-hom-level-cap": ["amen", "--family", "fd", "--element",
+                         '[["e","1",0]]', "--kset", '[[3,"a"],[7,"a"]]'],
+    "congruence-fiber-cap": ["amen", "--family", "congruence", "--element",
+                             '[["e","1",0]]', "--kset",
+                             '[[4,"a"],[9,"a"]]', "--fiber-cap", "100000"]}
+
+
 @pytest.mark.parametrize("args", [
     ["gap", "--family", "fd", "--n-max", "7"],
     ["gap", "--family", "cyclic", "--n-max", "5", "--fiber-cap", "16"],
     ["tau", "--family", "fd", "--n-max", "13", "--hom-level-cap", "13"],
     ["quotients", "--family", "congruence", "--n-max", "6", "--fiber-cap",
      "2048"],
+    *AMEN_OVER_CAP.values(),
 ])
 def test_caps_checked_before_building(cache, args):
     assert run(args, cache) == 3
     assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("args", AMEN_OVER_CAP.values(), ids=AMEN_OVER_CAP)
+def test_amen_over_a_cap_exits_3_before_any_level(cache, args):
+    done = subprocess.run(
+        [sys.executable, "-m", "hlslab.cli", *args, "--cache-dir", cache],
+        env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("resource error")
+    assert "Traceback" not in done.stderr
+    assert built_levels(cache) == []
 
 
 def test_caps_skip_cached_levels(cache, tmp_path):
@@ -135,6 +186,21 @@ def test_gap_fd_with_ceiling(cache, tmp_path):
     assert float(results["sup_finite_lower"]) == pytest.approx(4.0, abs=1e-6)
     assert float(results["infinity_ceiling_used"]) == pytest.approx(
         2 * math.sqrt(3))
+
+
+@pytest.mark.parametrize("ceiling,flagged", [("3.9", "true"),
+                                             ("4", "false")])
+def test_gap_flag_is_strict_above_the_ceiling(cache, tmp_path, ceiling,
+                                              flagged):
+    # every fd fiber reads [4, 4]: a gap is flagged exactly when that
+    # certified sup lies strictly above the ceiling used, with no buffer
+    out = tmp_path / "gap.csv"
+    assert run(["gap", "--family", "fd", "--n-max", "3", "--radius", "6",
+                "--infinity-ceiling", ceiling], cache, out) == 0
+    _, _, results = parse_report(out.read_text())
+    assert results["sup_finite_lower"] == "4"
+    assert results["infinity_ceiling_used"] == ceiling
+    assert results["gap_flagged"] == flagged
 
 
 def test_gap_fd_runs_no_solver(cache, tmp_path, no_solver):
@@ -271,6 +337,38 @@ def test_gap_prints_brackets_rounded_outward(cache_dir, fd, tmp_path, x):
         assert float(rows[3]["lower"]) < 2 + 3 * math.sqrt(3)
 
 
+# a + 2b; a - b + i ab + BA/2; and 1e-13 a
+NOT_SELF_ADJOINT = {
+    "a-plus-2b": '[["a",1,0],["b",2,0]]',
+    "complex": '[["a",1,0],["b",-1,0],["ab",0,1],["BA","1/2",0]]',
+    "tiny-a": '[["a",1e-13,0]]'}
+
+
+@pytest.mark.parametrize("element", NOT_SELF_ADJOINT.values(),
+                         ids=NOT_SELF_ADJOINT)
+def test_gap_brackets_elements_that_are_not_self_adjoint(cache_dir, fd,
+                                                         tmp_path, element):
+    # a norm needs no x = x*: each fd 2-4 bracket holds the dense norm,
+    # and none of these is flagged (u + 2v, u and v free Haar unitaries,
+    # has norm 3 at infinity as on every fiber)
+    out = tmp_path / "gap.csv"
+    assert main(["gap", "--family", "fd", "--n-max", "4", "--radius", "3",
+                 "--element", element, "--cache-dir", str(cache_dir),
+                 "--out", str(out)]) == 0
+    _, rows, results = parse_report(out.read_text())
+    x = GroupAlgebraElement.from_json(element, 2)
+    for r in rows[1:4]:
+        q = fd.quotient(int(r["level"]))
+        truth = float(np.linalg.norm(rho_dense(q, q.pushforward(x)), 2))
+        slack = 1e-14 * truth
+        assert float(r["lower"]) <= truth + slack
+        assert truth - slack <= float(r["upper"])
+    assert results["gap_flagged"] == "false"
+    if element == NOT_SELF_ADJOINT["a-plus-2b"]:
+        assert all((r["lower"], r["upper"]) == ("3", "3") for r in rows[:4])
+        assert float(rows[4]["lower"]) <= 3 <= float(rows[4]["upper"])
+
+
 def test_gap_trivial_representation_lower_rounds_down(cache, tmp_path):
     # |sum c| = 1 - 2^-60 has no float; to nearest it is 1, above the norm
     c = "1152921504606846975/2305843009213693952"
@@ -326,21 +424,6 @@ def test_gap_over_the_ball_cap_exits_3_before_any_level(cache):
     assert done.stderr.startswith("resource error") and "ball(14, 2)" in \
         done.stderr and "Traceback" not in done.stderr
     assert built_levels(cache) == []
-
-
-def test_gap_rejects_non_self_adjoint(cache):
-    elem = element_json([(Word.parse("a", 2), 1)], 2)
-    code = run(["gap", "--family", "fd", "--n-max", "2",
-                "--element", elem], cache)
-    assert code == 2
-
-
-def test_gap_self_adjointness_is_scale_free(cache, tmp_path):
-    # self-adjoint however large its coefficients; 1e-13 a, as far from
-    # self-adjoint as a, is among MALFORMED_INPUTS
-    large = '[["a",1e30,0],["A",1e30,0],["b",-1e30,0],["B",-1e30,0]]'
-    assert run(["gap", "--family", "fd", "--n-max", "2", "--radius", "2",
-                "--element", large], cache, tmp_path / "gap.csv") == 0
 
 
 # -- amen ---------------------------------------------------------------------
@@ -436,6 +519,19 @@ def test_tau_reports_unconverged_solves(cache, tmp_path, one_short_restart):
     assert results["converged"] == "false"
 
 
+def test_tau_checks_caps_without_listing_levels(cache):
+    # the levels stay a range, so what a refused run holds does not grow
+    # with --n-max; the fd cap refuses level 7
+    tracemalloc.start()
+    try:
+        assert run(["tau", "--n-max", "1000000"], cache) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert os.listdir(cache) == []
+
+
 def test_tau_rejects_cyclic(cache):
     assert run(["tau", "--family", "cyclic", "--n-max", "3"], cache) == 2
 
@@ -501,7 +597,6 @@ KSETS = {"level-not-a-number": '[["x","a"]]', "not-a-list": '{"a":1}',
 # a float flag that is nan, infinite or of a sign that certifies nothing,
 # and the config field it sets
 BAD_FLOAT_FLAGS = {
-    "margin-nan": (["gap", "--margin", "nan"], "margin"),
     "ceiling-inf": (["gap", "--infinity-ceiling", "inf"],
                     "infinity_ceiling"),
     "epsilon-nan": (["amen", "--element", '[["a",1,0]]', "--epsilon",
@@ -509,10 +604,8 @@ BAD_FLOAT_FLAGS = {
     # at epsilon inf a certificate with translation defect 1 would pass
     "epsilon-inf": (["amen", "--element", '[["a",1,0]]', "--epsilon",
                      "inf"], "epsilon"),
-    # the cyclic control's finite and infinity norms are both 2, yet each
-    # of these would flag a gap
-    "margin-negative": (["gap", "--margin", "-1"], "margin"),
-    "margin-zero": (["gap", "--margin", "0"], "margin"),
+    # the cyclic control's finite and infinity norms are both 2, yet this
+    # would flag a gap
     "ceiling-negative": (["gap", "--infinity-ceiling", "-5"],
                          "infinity_ceiling")}
 SNAPSHOTS = {"garbage": "not json", "list": "[1, 2]",
@@ -532,10 +625,7 @@ MALFORMED_INPUTS = (
     + [pytest.param(["tau", "--n-max", "2"], SNAPSHOT, text,
                     "tau-congruence.json", id=f"snapshot-{name}")
        for name, text in SNAPSHOTS.items()]
-    + [pytest.param(["gap", "--family", "fd", "--n-max", "2", "--radius",
-                     "2", "--element", '[["a",1e-13,0]]'], None, None,
-                    "self-adjoint", id="gap-tiny-non-self-adjoint"),
-       pytest.param(["gap", "--family", "fd", "--n-max", "2", "--element",
+    + [pytest.param(["gap", "--family", "fd", "--n-max", "2", "--element",
                      '[[5,1,0]]'], None, None, "word",
                     id="element-word-not-a-string"),
        # the contrast's first level is 2, so n_max 1 would compare nothing

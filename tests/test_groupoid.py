@@ -407,21 +407,42 @@ def test_c_star_identity(fd):
         assert abs(b - a * a) < 1e-6 * max(1.0, a * a)
 
 
+def fibered_functions(groupoid):
+    """An exact tail from a threshold of 1 to 4 on, and exact values at up
+    to two points of each finite fiber below the threshold; congruence
+    level 3 is the first non-abelian fiber of the three families."""
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.builds(RationalComplex, frac, frac)
+
+    @st.composite
+    def build(draw):
+        tail = draw(exact_elements(groupoid.rank))
+        top = draw(st.integers(1, 4))
+        overrides = {
+            n: draw(st.dictionaries(
+                st.integers(0, groupoid.quotient(n).order - 1), coeff,
+                max_size=2))
+            for n in range(1, top)}
+        return FiberedFunction(groupoid, tail, top, overrides)
+
+    return build()
+
+
 @settings(max_examples=20, deadline=None)
-@given(exact_elements(2), exact_elements(2), exact_elements(2))
-def test_star_algebra_axioms_fiberwise(fd, x, y, z):
-    fx = FiberedFunction(fd, x, 1, {})
-    fy = FiberedFunction(fd, y, 1, {})
-    fz = FiberedFunction(fd, z, 1, {})
-    left = convolve_fibered(convolve_fibered(fx, fy), fz)
-    right = convolve_fibered(fx, convolve_fibered(fy, fz))
-    assert left.same_function(right)
-    # (xy)* == y* x*
-    a = adjoint_fibered(convolve_fibered(fx, fy))
-    b = convolve_fibered(adjoint_fibered(fy), adjoint_fibered(fx))
-    assert a.same_function(b)
-    # involution
-    assert adjoint_fibered(adjoint_fibered(fx)).same_function(fx)
+@given(st.data())
+def test_star_algebra_axioms_fiberwise(fd, congruence, cyclic, data):
+    for groupoid in (fd, congruence, cyclic):
+        fx, fy, fz = (data.draw(fibered_functions(groupoid))
+                      for _ in range(3))
+        left = convolve_fibered(convolve_fibered(fx, fy), fz)
+        right = convolve_fibered(fx, convolve_fibered(fy, fz))
+        assert left.same_function(right)
+        # (xy)* == y* x*
+        a = adjoint_fibered(convolve_fibered(fx, fy))
+        b = convolve_fibered(adjoint_fibered(fy), adjoint_fibered(fx))
+        assert a.same_function(b)
+        # involution
+        assert adjoint_fibered(adjoint_fibered(fx)).same_function(fx)
 
 
 # -- truncation bounds --------------------------------------------------------
@@ -781,7 +802,7 @@ def test_reduced_norm_cyclic_tight_bracket(cyclic):
 
 def test_gap_flag_uses_external_ceiling(fd):
     rep = norm_profile(FiberedFunction(fd, gen_sum()), 3, radius=6)
-    ceiling, flagged = rep.gap(0.25, 2 * math.sqrt(3))
+    ceiling, flagged = rep.gap(2 * math.sqrt(3))
     assert rep.monotone_ok
     assert rep.sup_finite.lower == pytest.approx(4.0, abs=1e-7)
     assert ceiling == pytest.approx(2 * math.sqrt(3))
@@ -791,7 +812,7 @@ def test_gap_flag_uses_external_ceiling(fd):
 def test_gap_flag_without_ceiling(fd):
     # engine-only upper bound is the l1 norm 4, so no gap can be certified
     rep = norm_profile(FiberedFunction(fd, gen_sum()), 2, radius=4)
-    ceiling, flagged = rep.gap(0.25)
+    ceiling, flagged = rep.gap()
     assert not flagged
     assert ceiling == pytest.approx(4.0)
 
@@ -801,7 +822,7 @@ def test_no_gap_for_cyclic(cyclic):
         [(Word.parse("a", 1), 1.0), (Word.parse("A", 1), 1.0)], 1)
     rep = norm_profile(FiberedFunction(cyclic, x), 6, radius=400)
     assert rep.monotone_ok
-    assert not rep.gap(0.25)[1]
+    assert not rep.gap()[1]
     assert rep.sup_finite.lower <= rep.infinity.upper + 1e-6
 
 
